@@ -37,12 +37,13 @@ import time
 import numpy as np
 
 from benchmarks.conftest import report, report_json
-from repro.core.edge_extraction import ExtractionConfig, extract_many
+from repro.core.edge_extraction import ExtractionConfig
 from repro.perf.batch import synthesize_waveform_batch
 from repro.perf.cache import CaptureCache
 from repro.perf.engine import capture_and_extract, capture_session_engine
 from repro.perf.parallel import rngs_for_slice
 from repro.vehicles.dataset import capture_session
+from tests import extraction_oracle
 
 DEFAULT_MESSAGES = 400
 SMOKE_THRESHOLD = 100  # below this, only sanity-check the artefacts
@@ -133,12 +134,12 @@ def test_perf_engine(sterling):
 
     def legacy_e2e():
         # The honest pre-engine baseline: serial capture plus the scalar
-        # bit-walker.  The extractor's default impl is now "vector" —
-        # this PR's own vectorisation — so an unpinned call would speed
-        # up the baseline and understate the engine's gain.
+        # bit-walker, which survives only as the test oracle — the
+        # production walkers are the engine's own vectorisation, so they
+        # would speed up the baseline and understate the engine's gain.
         session = capture_session(vehicle, duration_s, seed=123)
         config = ExtractionConfig.for_trace(session.traces[0])
-        return session, extract_many(session.traces, config, impl="scalar")
+        return session, extraction_oracle.extract_many(session.traces, config)
 
     def engine_e2e(jobs):
         return capture_and_extract(vehicle, duration_s, seed=123, jobs=jobs)

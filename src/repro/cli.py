@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -72,7 +71,6 @@ from repro.eval.suite import SuiteInputs, run_detection_suite
 from repro.eval.sweeps import rate_resolution_sweep
 from repro.perf.cache import CaptureCache
 from repro.perf.parallel import default_jobs
-from repro.perf.shm import SHM_ENV_VAR
 from repro.stream import (
     DEFAULT_CHUNK_SAMPLES,
     LiveSource,
@@ -120,13 +118,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for capture/extraction (default: $REPRO_JOBS; "
              "leave both unset for the legacy serial path)",
-    )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="hand worker chunks back over pickle pipes instead of the "
-             "zero-copy shared-memory arena (equivalent to REPRO_SHM=0; "
-             "bytes are identical either way)",
     )
 
 
@@ -779,12 +770,6 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if getattr(args, "no_shm", False):
-        # One funnel covers every engine entry (captures, live sources,
-        # experiment sweeps): resolve_shm() consults REPRO_SHM whenever
-        # a call site passes shm=None.
-        os.environ[SHM_ENV_VAR] = "0"
 
     registry = None
     previous_registry = previous_log = None

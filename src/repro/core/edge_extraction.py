@@ -19,11 +19,19 @@ Two Chapter 5 enhancements live here as options:
   of the max and min of the first half of a message;
 * multi-edge-set averaging (Section 5.2): extract several edge sets
   spaced a fixed number of samples apart and use their mean.
+
+Two production walkers implement the algorithm, and the batch size picks
+between them (:func:`extract_many_indexed`): the per-message edge-index
+walker (:func:`extract_edge_set`, used by the stream path) and the
+columnar block walker (:func:`extract_edge_sets_batch`, used for whole
+captures).  Both are byte-identical — edge sets and error messages — to
+the sample-at-a-time transcription of the pseudocode that the test suite
+keeps as its reference oracle (the "scalar walker" of the comments
+below).
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
@@ -36,28 +44,6 @@ from repro.acquisition.adc import AdcConfig
 from repro.acquisition.trace import VoltageTrace
 from repro.errors import ExtractionError
 from repro.obs.spans import stage_timer
-
-#: Environment variable selecting the bit-walker implementation:
-#: ``vector`` (default, numpy edge-index walker) or ``scalar`` (the
-#: original per-sample reference oracle).  Both produce byte-identical
-#: edge sets — the switch exists so the scalar walker stays available as
-#: the equivalence oracle for property tests and for debugging.
-EXTRACT_IMPL_ENV_VAR = "REPRO_EXTRACT_IMPL"
-
-#: Valid values for :data:`EXTRACT_IMPL_ENV_VAR` / the ``impl`` argument.
-EXTRACT_IMPLS = ("vector", "scalar")
-
-
-def resolve_extract_impl(impl: str | None = None) -> str:
-    """Effective walker implementation: explicit arg, else env, else vector."""
-    if impl is None:
-        impl = os.environ.get(EXTRACT_IMPL_ENV_VAR) or "vector"
-    impl = impl.strip().lower()
-    if impl not in EXTRACT_IMPLS:
-        raise ExtractionError(
-            f"unknown extraction impl {impl!r}; expected one of {EXTRACT_IMPLS}"
-        )
-    return impl
 
 #: Logical bit positions in an extended frame (SOF = bit 0, stuff bits
 #: excluded): the J1939 SA occupies bits 24-31 and bit 33 is the first
@@ -226,19 +212,11 @@ def get_bit_value(sample: float, threshold: float) -> int:
     return 0 if sample >= threshold else 1
 
 
-def extract_edge_set(
-    trace: VoltageTrace,
-    config: ExtractionConfig,
-    *,
-    impl: str | None = None,
-) -> ExtractedEdgeSet:
+def extract_edge_set(trace: VoltageTrace, config: ExtractionConfig) -> ExtractedEdgeSet:
     """Run Algorithm 1 on one trace.
 
     Observability: times into ``vprofile_stage_seconds{stage="extract"}``
     when a metrics registry is enabled (no-op otherwise).
-
-    ``impl`` selects the bit-walker (``vector``/``scalar``, both
-    byte-identical); ``None`` defers to ``REPRO_EXTRACT_IMPL``.
 
     Raises
     ------
@@ -247,96 +225,13 @@ def extract_edge_set(
         is encountered.
     """
     with stage_timer("extract"):
-        if resolve_extract_impl(impl) == "scalar":
-            return _extract_edge_set(trace, config)
         return _extract_edge_set_vector(trace, config)
-
-
-def _extract_edge_set(trace: VoltageTrace, config: ExtractionConfig) -> ExtractedEdgeSet:
-    samples = np.asarray(trace.counts, dtype=float)
-    # The bit walker touches samples one at a time; plain-float list
-    # indexing is several times cheaper than NumPy scalar indexing, and
-    # tolist() yields the exact same float64 values.
-    values = samples.tolist()
-    n_values = len(values)
-    threshold = config.threshold
-    bit_width = config.bit_width
-    half_bit = bit_width / 2.0
-    id_last_bit = config.frame_format.id_last_bit
-    first_stable_bit = config.frame_format.first_stable_bit
-
-    sof = _find_sof(samples, threshold)
-    pos = sof + half_bit
-    bit_values: list[int] = [_value_at(values, pos, threshold)]
-    if bit_values[0] != 0:
-        raise ExtractionError("sample at SOF centre is not dominant")
-
-    prev_bit = 0
-    run_length = 1
-    bit_count = 0  # counts logical bits appended after SOF
-    source_address: int | None = None
-    extraction_start: float | None = None
-
-    while pos + bit_width < n_values:
-        pos += bit_width
-        # Inline _value_at: this loop runs once per wire bit and
-        # dominates extraction time.
-        index = int(round(pos))
-        if index >= n_values:
-            raise ExtractionError(f"bit walk ran off the trace at sample {index}")
-        bit = 0 if values[index] >= threshold else 1
-        is_stuff = False
-        if bit != prev_bit:
-            # Re-centre on the observed edge to hold synchronisation.
-            crossing = _align_to_edge_center(values, pos, threshold, bit_width)
-            pos = crossing + half_bit
-            if run_length == 5:
-                # After five identical bits the opposite-polarity bit is
-                # a stuff bit: consume it but keep it out of the logical
-                # stream.  It still seeds the next run (ISO 11898-1).
-                is_stuff = True
-            run_length = 1
-            prev_bit = bit
-        else:
-            run_length += 1
-            if run_length == 6:
-                raise ExtractionError(
-                    f"stuff violation near sample {int(pos)}: six identical bits"
-                )
-        if is_stuff:
-            continue
-        bit_values.append(bit)
-        bit_count += 1
-        if bit_count == id_last_bit:
-            source_address = _decode_identity(bit_values, config.frame_format)
-        elif bit_count == first_stable_bit:
-            extraction_start = pos
-            break
-
-    if source_address is None or extraction_start is None:
-        raise ExtractionError(
-            f"trace ended after {bit_count} logical bits; need "
-            f"{config.frame_format.first_stable_bit} plus an edge set"
-        )
-
-    windows = []
-    start = extraction_start
-    for k in range(config.n_edge_sets):
-        windows.append(_extract_window_pair(samples, values, start, config))
-        start = extraction_start + (k + 1) * config.edge_set_spacing
-    vector = np.mean(windows, axis=0) if len(windows) > 1 else windows[0]
-
-    return ExtractedEdgeSet(
-        source_address=source_address,
-        vector=np.asarray(vector, dtype=float),
-        metadata=dict(trace.metadata),
-    )
 
 
 def _extract_edge_set_vector(
     trace: VoltageTrace, config: ExtractionConfig
 ) -> ExtractedEdgeSet:
-    """Edge-index walker: byte-identical to :func:`_extract_edge_set`.
+    """Edge-index walker: byte-identical to the scalar reference walker.
 
     The scalar walker touches the trace one sample at a time — a
     per-sample backward scan at every observed edge and three per-sample
@@ -349,6 +244,13 @@ def _extract_edge_set_vector(
     and re-centering lands on the same crossing (the start of the
     polarity run containing the sampled index, clamped to the scalar
     scan's ``floor`` guard).
+
+    A NaN sample compares false against the threshold both ways, so the
+    scalar scans treat it as neither dominant nor recessive.  Traces with
+    NaN samples get a second edge index over "not strictly recessive"
+    (dominant or NaN), which the scans for a dominant sample and the
+    backward scan over recessive samples use; for every other trace the
+    two indexes are the same object.
     """
     samples = np.asarray(trace.counts, dtype=float)
     n_values = samples.size
@@ -362,11 +264,11 @@ def _extract_edge_set_vector(
     if not above_arr.any():
         raise ExtractionError("no start-of-frame found (trace never dominant)")
     sof = int(above_arr.argmax())
-    # bytes indexing returns small ints at ~list speed without the O(n)
-    # float boxing of tolist(); edges[k] is the first sample of the k-th
-    # polarity run (exactly where the scalar backward scan stops).
-    above = above_arr.tobytes()
-    edges = (np.flatnonzero(above_arr[:-1] != above_arr[1:]) + 1).tolist()
+    above, edges = _edge_index(above_arr)
+    if trace.counts.dtype.kind == "f" and np.isnan(samples).any():
+        stop, stop_edges = _edge_index(~(samples < threshold))
+    else:
+        stop, stop_edges = above, edges
 
     pos = sof + half_bit
     index = int(round(pos))
@@ -390,11 +292,19 @@ def _extract_edge_set_vector(
         bit = 0 if above[index] else 1
         is_stuff = False
         if bit != prev_bit:
-            # Re-centre on the observed edge: the start of the polarity
-            # run containing `index`, clamped to the scalar scan's floor.
+            # Re-centre on the observed edge: back over the run of
+            # new-polarity samples ending just before `index`, clamped to
+            # the scalar scan's floor.  For a dominant bit that is the
+            # start of the polarity run containing `index`.
             floor = max(0, int(round(pos - bit_width)))
-            k = bisect_right(edges, index)
-            run_start = edges[k - 1] if k else 0
+            if bit == 0:
+                k = bisect_right(edges, index)
+                run_start = edges[k - 1] if k else 0
+            elif index and not stop[index - 1]:
+                k = bisect_right(stop_edges, index - 1)
+                run_start = stop_edges[k - 1] if k else 0
+            else:
+                run_start = index
             pos = float(max(run_start, floor)) + half_bit
             if run_length == 5:
                 is_stuff = True
@@ -426,7 +336,9 @@ def _extract_edge_set_vector(
     start = extraction_start
     for k in range(config.n_edge_sets):
         windows.append(
-            _extract_window_pair_vector(samples, above, edges, start, config)
+            _extract_window_pair_vector(
+                samples, (above, edges), (stop, stop_edges), start, config
+            )
         )
         start = extraction_start + (k + 1) * config.edge_set_spacing
     vector = np.mean(windows, axis=0) if len(windows) > 1 else windows[0]
@@ -518,30 +430,24 @@ def _extract_columnar_block(
     id_first = config.frame_format.id_first_bit
     id_last = config.frame_format.id_last_bit
 
-    cols = np.arange(s_max, dtype=np.int32)
-    above = samples >= threshold
-    # change[g, i]: a polarity run starts at sample i (i >= 1).
-    change = np.zeros((n_rows, s_max), dtype=bool)
-    if s_max > 1:
-        change[:, 1:] = above[:, 1:] != above[:, :-1]
-    # run_start[g, i]: first sample of the polarity run containing i —
-    # exactly where the scalar backward scan stops (before its floor clamp).
-    run_start = np.where(change, cols[None, :], np.int32(0))
-    np.maximum.accumulate(run_start, axis=1, out=run_start)
-    # next_change[g, i]: smallest change index >= i, or `big`.  Replaces
-    # the scalar forward sample scans: polarity runs alternate, so the
-    # first change after a wrong-polarity position starts the wanted
-    # run.  The suffix-min runs over a contiguous reversed copy —
-    # accumulating through a negative-stride view hits the slow path.
     big = s_max + 1
-    rev = np.flip(np.where(change, cols[None, :], np.int32(big)), axis=1).copy()
-    np.minimum.accumulate(rev, axis=1, out=rev)
-    next_change = np.flip(rev, axis=1).copy()
+    above = samples >= threshold
+    run_start, next_change = _run_tables(above, big)
+    # NaN is neither dominant nor recessive to the scalar scans: see
+    # _extract_edge_set_vector.  `stop` marks the samples that are not
+    # strictly recessive; without NaN it is `above`.
+    if any(c.dtype.kind == "f" for c in counts) and np.isnan(samples).any():
+        stop = ~(samples < threshold)
+        stop_run_start, stop_next_change = _run_tables(stop, big)
+    else:
+        stop, stop_run_start, stop_next_change = above, run_start, next_change
 
     rows = np.arange(n_rows)
     flat_base = rows.astype(np.int64) * s_max
     above_flat = above.reshape(-1)
     run_start_flat = run_start.reshape(-1)
+    stop_flat = stop.reshape(-1)
+    stop_run_start_flat = stop_run_start.reshape(-1)
     err = np.zeros(n_rows, dtype=np.int8)
     e1 = np.zeros(n_rows, dtype=np.int64)
     e2 = np.zeros(n_rows, dtype=np.int64)
@@ -594,11 +500,18 @@ def _extract_columnar_block(
         bit = ~above_flat.take(flat)
         changed = active & (bit != prev_bit)
 
-        # Changed rows re-centre: run start clamped to the scalar floor.
+        # Changed rows re-centre, clamped to the scalar floor: dominant
+        # rows on the start of the run containing `index`, recessive rows
+        # back over the strictly recessive samples ending before it.
         if changed.any():
             floor = np.rint(pos - bit_width).astype(np.int64)
             np.maximum(floor, 0, out=floor)
-            crossing = np.maximum(run_start_flat.take(flat), floor)
+            before = flat - (index > 0)
+            recessive_start = np.where(
+                stop_flat.take(before), index, stop_run_start_flat.take(before)
+            )
+            crossing = np.where(bit, recessive_start, run_start_flat.take(flat))
+            np.maximum(crossing, floor, out=crossing)
             pos = np.where(changed, crossing + half_bit, pos)
         is_stuff = changed & (run_length == 5)
         same = active ^ changed          # changed is a subset of active
@@ -627,6 +540,7 @@ def _extract_columnar_block(
     # --- edge windows ------------------------------------------------
     samples_flat = samples.reshape(-1)
     next_change_flat = next_change.reshape(-1)
+    stop_next_change_flat = stop_next_change.reshape(-1)
 
     def _advance(p: np.ndarray, want_above: bool) -> tuple[np.ndarray, np.ndarray]:
         """First index >= p of the wanted polarity, per row (or `big`).
@@ -637,12 +551,18 @@ def _extract_columnar_block(
         wanted run.  Any answer at or past the row's real length fails —
         the scalar scans would have run off the trace there.
         """
+        # Like the scalar scans, a search for a dominant sample stops at
+        # any sample that is not strictly recessive (NaN included).
+        if want_above:
+            flags_flat, changes_flat = stop_flat, stop_next_change_flat
+        else:
+            flags_flat, changes_flat = above_flat, next_change_flat
         p_safe = np.minimum(p, s_max - 1)
         np.maximum(p_safe, 0, out=p_safe)
-        direct = (p < lengths) & (above_flat.take(flat_base + p_safe) == want_above)
+        direct = (p < lengths) & (flags_flat.take(flat_base + p_safe) == want_above)
         after = np.minimum(p + 1, s_max - 1)
         np.maximum(after, 0, out=after)
-        nxt = np.where(p + 1 < s_max, next_change_flat.take(flat_base + after), big)
+        nxt = np.where(p + 1 < s_max, changes_flat.take(flat_base + after), big)
         new_p = np.where(direct, p, nxt)
         return new_p, new_p >= lengths
 
@@ -718,6 +638,29 @@ def _extract_columnar_block(
     return out
 
 
+def _run_tables(flags: np.ndarray, big: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample run tables of a thresholded ``(rows, samples)`` block.
+
+    ``run_start[g, i]`` is the first sample of the run containing ``i`` —
+    exactly where the scalar backward scan stops (before its floor
+    clamp).  ``next_change[g, i]`` is the smallest run start ``>= i``, or
+    ``big``; it replaces the scalar forward sample scans: runs alternate,
+    so the first change after a wrong-polarity position starts the
+    wanted run.
+    """
+    # change[g, i]: a run starts at sample i (i >= 1).
+    change = np.zeros(flags.shape, dtype=bool)
+    change[:, 1:] = flags[:, 1:] != flags[:, :-1]
+    cols = np.arange(flags.shape[1], dtype=np.int32)
+    run_start = np.where(change, cols[None, :], np.int32(0))
+    np.maximum.accumulate(run_start, axis=1, out=run_start)
+    # The suffix-min runs over a contiguous reversed copy — accumulating
+    # through a negative-stride view hits the slow path.
+    rev = np.flip(np.where(change, cols[None, :], np.int32(big)), axis=1).copy()
+    np.minimum.accumulate(rev, axis=1, out=rev)
+    return run_start, np.flip(rev, axis=1).copy()
+
+
 def _format_columnar_error(
     code: int, a: int, b: int, n: int, first_stable: int
 ) -> str:
@@ -746,7 +689,6 @@ def extract_many(
     *,
     skip_failures: bool = False,
     index_base: int = 0,
-    impl: str | None = None,
 ) -> list[ExtractedEdgeSet]:
     """Extract edge sets from many traces.
 
@@ -762,7 +704,6 @@ def extract_many(
         config,
         skip_failures=skip_failures,
         index_base=index_base,
-        impl=impl,
     )
     if skipped:
         from repro.obs import get_registry
@@ -780,7 +721,6 @@ def extract_many_indexed(
     *,
     skip_failures: bool = False,
     index_base: int = 0,
-    impl: str | None = None,
 ) -> tuple[list[ExtractedEdgeSet], list[tuple[int, str]]]:
     """:func:`extract_many` plus the skip ledger, without counting.
 
@@ -794,35 +734,34 @@ def extract_many_indexed(
         return [], []
     if config is None:
         config = ExtractionConfig.for_trace(traces[0])
-    impl = resolve_extract_impl(impl)
+    outcomes: list[ExtractedEdgeSet | ExtractionError]
+    if len(traces) > 1:
+        # The batch size picks the walker.  The columnar walker pays its
+        # numpy set-up once per block, so a block of one costs 2.6 ms/msg
+        # on Vehicle A traces against 87 us/msg for the per-message walker
+        # (stream chunks complete 0 or 1 messages each); over a whole
+        # capture it wins instead: batch-detect runs ~1390 msg/s columnar
+        # and ~1240 msg/s per-message (2-core host).
+        outcomes = extract_edge_sets_batch(traces, config)
+    else:
+        try:
+            outcomes = [extract_edge_set(traces[0], config)]
+        except ExtractionError as exc:
+            outcomes = [exc]
     results: list[ExtractedEdgeSet] = []
     skipped: list[tuple[int, str]] = []
-    if impl == "vector" and len(traces) > 1:
-        for offset, outcome in enumerate(extract_edge_sets_batch(traces, config)):
-            if isinstance(outcome, ExtractionError):
-                if not skip_failures:
-                    trace = traces[offset]
-                    raise ExtractionError(
-                        f"message {index_base + offset} "
-                        f"(sample offset "
-                        f"{int(round(trace.start_s * trace.sample_rate))})"
-                        f": {outcome}"
-                    ) from outcome
-                skipped.append((index_base + offset, str(outcome)))
-            else:
-                results.append(outcome)
-        return results, skipped
-    for offset, trace in enumerate(traces):
-        try:
-            results.append(extract_edge_set(trace, config, impl=impl))
-        except ExtractionError as exc:
+    for offset, outcome in enumerate(outcomes):
+        if isinstance(outcome, ExtractionError):
             if not skip_failures:
+                trace = traces[offset]
                 raise ExtractionError(
                     f"message {index_base + offset} "
                     f"(sample offset {int(round(trace.start_s * trace.sample_rate))})"
-                    f": {exc}"
-                ) from exc
-            skipped.append((index_base + offset, str(exc)))
+                    f": {outcome}"
+                ) from outcome
+            skipped.append((index_base + offset, str(outcome)))
+        else:
+            results.append(outcome)
     return results, skipped
 
 
@@ -842,43 +781,6 @@ def cluster_threshold(trace: VoltageTrace) -> float:
 # Internals
 # ----------------------------------------------------------------------
 
-def _value_at(values: list[float], pos: float, threshold: float) -> int:
-    index = int(round(pos))
-    if index < 0 or index >= len(values):
-        raise ExtractionError(f"bit walk ran off the trace at sample {index}")
-    return 0 if values[index] >= threshold else 1
-
-
-def _find_sof(samples: np.ndarray, threshold: float) -> int:
-    """First sample at or above the threshold: start of the dominant SOF."""
-    above = np.nonzero(samples >= threshold)[0]
-    if above.size == 0:
-        raise ExtractionError("no start-of-frame found (trace never dominant)")
-    return int(above[0])
-
-
-def _align_to_edge_center(
-    values: list[float], pos: float, threshold: float, bit_width: float
-) -> float:
-    """Locate the threshold crossing behind ``pos`` (AlignToEdgeCenter).
-
-    The walker detected a polarity change between the previous bit centre
-    and ``pos``, so the crossing lies within the last ``bit_width``
-    samples.  Scan backwards while the polarity still matches the new
-    bit.
-    """
-    index = int(round(pos))
-    floor = max(0, int(round(pos - bit_width)))
-    j = index
-    if values[index] >= threshold:  # new bit is dominant (decodes as 0)
-        while j > floor and values[j - 1] >= threshold:
-            j -= 1
-    else:
-        while j > floor and values[j - 1] < threshold:
-            j -= 1
-    return float(j)
-
-
 def _decode_identity(bit_values: list[int], frame_format: FrameFormat) -> int:
     """Decode the sender-identity field (MSB first).
 
@@ -893,39 +795,6 @@ def _decode_identity(bit_values: list[int], frame_format: FrameFormat) -> int:
     for bit in id_bits:
         value = (value << 1) | bit
     return value
-
-
-def _extract_window_pair(
-    samples: np.ndarray, values: list[float], start: float, config: ExtractionConfig
-) -> np.ndarray:
-    """ExtractEdgeSet from Algorithm 1: windows at the next two crossings.
-
-    From ``start`` (inside or before a dominant region): skip any
-    recessive run, skip the dominant run to its falling crossing, window
-    it; advance half a bit, find the next rising crossing, window it.
-    The sample-by-sample scans run over the plain-float ``values`` list
-    (cheap scalar indexing); the windows slice the NumPy ``samples``.
-    """
-    threshold = config.threshold
-    n = len(values)
-    pos = int(round(start))
-
-    while pos < n and values[pos] < threshold:   # reach dominant
-        pos += 1
-    if pos >= n:
-        raise ExtractionError("edge search ran off the end of the trace")
-    while pos < n and values[pos] >= threshold:  # falling crossing
-        pos += 1
-    if pos >= n:
-        raise ExtractionError("edge search ran off the end of the trace")
-    falling = _window(samples, pos, config)
-    pos = int(round(pos + config.bit_width / 2.0))
-    while pos < n and values[pos] < threshold:   # rising crossing
-        pos += 1
-    if pos >= n:
-        raise ExtractionError("edge search ran off the end of the trace")
-    rising = _window(samples, pos, config)
-    return np.concatenate([falling, rising])
 
 
 def _advance_to_polarity(
@@ -951,23 +820,38 @@ def _advance_to_polarity(
     raise ExtractionError("edge search ran off the end of the trace")
 
 
+def _edge_index(flags: np.ndarray) -> tuple[bytes, list[int]]:
+    """A thresholded trace as bytes, plus the first sample of every run.
+
+    bytes indexing returns small ints at ~list speed without the O(n)
+    float boxing of tolist(); ``edges[k]`` is the first sample of the
+    k-th run (exactly where the scalar backward scan stops).
+    """
+    return flags.tobytes(), (np.flatnonzero(flags[:-1] != flags[1:]) + 1).tolist()
+
+
 def _extract_window_pair_vector(
     samples: np.ndarray,
-    above: bytes,
-    edges: list[int],
+    dominant: tuple[bytes, list[int]],
+    stop: tuple[bytes, list[int]],
     start: float,
     config: ExtractionConfig,
 ) -> np.ndarray:
-    """Edge-index form of :func:`_extract_window_pair` (byte-identical)."""
+    """ExtractEdgeSet from Algorithm 1: windows at the next two crossings.
+
+    From ``start`` (inside or before a dominant region): skip any
+    recessive run, skip the dominant run to its falling crossing, window
+    it; advance half a bit, find the next rising crossing, window it.
+    """
     n = samples.size
     pos = int(round(start))
     if pos >= n:
         raise ExtractionError("edge search ran off the end of the trace")
-    pos = _advance_to_polarity(above, edges, pos, True)    # reach dominant
-    pos = _advance_to_polarity(above, edges, pos, False)   # falling crossing
+    pos = _advance_to_polarity(*stop, pos, True)           # reach dominant
+    pos = _advance_to_polarity(*dominant, pos, False)      # falling crossing
     falling = _window(samples, pos, config)
     pos = int(round(pos + config.bit_width / 2.0))
-    pos = _advance_to_polarity(above, edges, pos, True)    # rising crossing
+    pos = _advance_to_polarity(*stop, pos, True)           # rising crossing
     rising = _window(samples, pos, config)
     return np.concatenate([falling, rising])
 

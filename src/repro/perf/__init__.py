@@ -16,8 +16,8 @@ a fast, cached, parallel engine while keeping results reproducible:
   keyed by (vehicle, capture config, seed, schema version).
 
 Determinism contract: for a fixed seed, every ``jobs`` value, the
-batched and unbatched renderers, and cache hits vs fresh simulation all
-produce byte-identical traces — message *i* always draws from
+pad-batched renderer and per-message rendering, and cache hits vs fresh
+simulation all produce byte-identical traces — message *i* always draws from
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, independent
 of how messages are grouped into batches or worker chunks.
 """

@@ -27,12 +27,11 @@ objects never cross the process boundary twice.
 
 Every message draws from its own ``SeedSequence`` child (see
 :mod:`repro.perf.parallel`), so traces are byte-identical across
-``jobs`` values, pad-batched vs unbatched rendering, shared-memory vs
-pickled hand-off, and cache hit vs miss.  Note this per-message seeding
-scheme is deliberately *different* from the legacy ``capture_session``
-path, which threads one sequential generator through all messages and
-stays the default for existing seed-pinned results; pass ``jobs=`` to
-opt into the engine.
+``jobs`` values, inline vs shared-memory hand-off, and cache hit vs
+miss.  Note this per-message seeding scheme is deliberately *different*
+from the legacy ``capture_session`` path, which threads one sequential
+generator through all messages and stays the default for existing
+seed-pinned results; pass ``jobs=`` to opt into the engine.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +55,6 @@ from repro.core.edge_extraction import (
     ExtractionConfig,
     extract_many,
     extract_many_indexed,
-    resolve_extract_impl,
 )
 from repro.errors import DatasetError
 from repro.obs import get_registry
@@ -68,7 +66,7 @@ from repro.perf.parallel import (
     resolve_jobs,
     rngs_for_slice,
 )
-from repro.perf.shm import get_arena, pack_arrays, resolve_shm
+from repro.perf.shm import ShmChunk, get_arena, pack_arrays
 from repro.vehicles.dataset import CaptureSession
 from repro.vehicles.profiles import DEFAULT_TRUNCATE_BITS, VehicleConfig
 
@@ -102,10 +100,10 @@ def _effective_workers(jobs: int) -> int:
 class _RenderChunk:
     """Picklable unit of work: render messages ``lo .. lo+n``.
 
-    The batch path ships only the padded wire matrix plus per-row
-    lengths/senders/starts — frames stay in the parent, which attaches
-    metadata after the hand-off.  The unbatched reference path ships the
-    frames themselves and renders one message at a time.
+    Ships only the padded wire matrix plus per-row lengths/senders/
+    starts.  Cross-process chunks leave ``messages`` empty — frames stay
+    in the parent, which attaches metadata after the hand-off; inline
+    chunks keep the frames at hand and build finished traces directly.
     """
 
     vehicle: VehicleConfig
@@ -113,92 +111,73 @@ class _RenderChunk:
     truncate_bits: int | None
     seed: int
     lo: int
-    # batch payload
-    wire: np.ndarray | None  # (n, W) int8, padded recessive
+    wire: np.ndarray  # (n, W) int8, padded recessive
     wire_lengths: tuple[int, ...]
     starts: tuple[float, ...]
     senders: tuple[str, ...]
-    # unbatched payload
     messages: tuple[tuple[str, CanFrame, float], ...]  # (sender, frame, start_s)
-    batch: bool
     extract: bool
     extraction: ExtractionConfig | None
-    extract_impl: str | None
     skip_failures: bool
-    use_shm: bool
 
 
-#: Worker→parent result: (kind, payload, edges, skip ledger) where kind
-#: selects the payload shape — "shm" carries a ShmChunk descriptor,
-#: "rows" pickled counts arrays, "traces" full VoltageTrace objects.
+#: Worker→parent result: (payload, edges, skip ledger).  The payload is
+#: a ShmChunk descriptor from a worker process, or the finished
+#: VoltageTrace list from an inline chunk.
 _ChunkResult = tuple[
-    str, Any, list[ExtractedEdgeSet] | None, list[tuple[int, str]]
+    ShmChunk | list[VoltageTrace],
+    list[ExtractedEdgeSet] | None,
+    list[tuple[int, str]],
 ]
 
 
 def _render_chunk(task: _RenderChunk) -> _ChunkResult:
     chain = task.vehicle.capture_chain(task.truncate_bits)
     transceivers = {ecu.name: ecu.transceiver for ecu in task.vehicle.ecus}
-    if task.batch:
-        assert task.wire is not None
-        n = task.wire.shape[0]
-        rngs = rngs_for_slice(task.seed, task.lo, task.lo + n)
-        counts_rows: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        groups: dict[str, list[int]] = {}
-        for j, sender in enumerate(task.senders):
-            groups.setdefault(sender, []).append(j)
-        for sender, indices in groups.items():
-            volts, n_samples = synthesize_waveform_matrix(
-                task.wire[indices],
-                transceivers[sender],
-                chain.synthesis,
-                env=task.env,
-                noise=chain.noise,
-                rngs=[rngs[j] for j in indices],
-                wire_lengths=[task.wire_lengths[j] for j in indices],
-            )
-            # Quantization is elementwise (rint → clip → astype), so one
-            # pass over the group's whole render buffer — scratch columns
-            # included — is byte-identical to quantizing row by row, and
-            # skips a concatenate/split round-trip.
-            group_counts = chain.adc.quantize(volts)
-            for i, j in enumerate(indices):
-                counts_rows[j] = group_counts[i, : int(n_samples[i])]
-        # Inline chunks (task.messages present) have the frames at hand
-        # and skip the descriptor round entirely; cross-process chunks
-        # leave metadata empty — the parent grafts it on after hand-off.
-        traces = [
-            VoltageTrace(
-                counts=counts_rows[j],
-                sample_rate=chain.synthesis.sample_rate,
-                resolution_bits=chain.adc.resolution_bits,
-                bitrate=chain.synthesis.bitrate,
-                start_s=task.starts[j],
-                metadata=(
-                    {
-                        "sender": transceivers[task.senders[j]].name,
-                        "frame": task.messages[j][1],
-                    }
-                    if task.messages
-                    else {}
-                ),
-            )
-            for j in range(n)
-        ]
-    else:
-        rngs = rngs_for_slice(
-            task.seed, task.lo, task.lo + len(task.messages)
+    n = task.wire.shape[0]
+    rngs = rngs_for_slice(task.seed, task.lo, task.lo + n)
+    counts_rows: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    groups: dict[str, list[int]] = {}
+    for j, sender in enumerate(task.senders):
+        groups.setdefault(sender, []).append(j)
+    for sender, indices in groups.items():
+        volts, n_samples = synthesize_waveform_matrix(
+            task.wire[indices],
+            transceivers[sender],
+            chain.synthesis,
+            env=task.env,
+            noise=chain.noise,
+            rngs=[rngs[j] for j in indices],
+            wire_lengths=[task.wire_lengths[j] for j in indices],
         )
-        traces = [
-            chain.capture_frame(
-                frame,
-                transceivers[sender],
-                env=task.env,
-                rng=rngs[j],
-                start_s=start_s,
-            )
-            for j, (sender, frame, start_s) in enumerate(task.messages)
-        ]
+        # Quantization is elementwise (rint → clip → astype), so one
+        # pass over the group's whole render buffer — scratch columns
+        # included — is byte-identical to quantizing row by row, and
+        # skips a concatenate/split round-trip.
+        group_counts = chain.adc.quantize(volts)
+        for i, j in enumerate(indices):
+            counts_rows[j] = group_counts[i, : int(n_samples[i])]
+    # Inline chunks (task.messages present) have the frames at hand
+    # and skip the descriptor round entirely; cross-process chunks
+    # leave metadata empty — the parent grafts it on after hand-off.
+    traces = [
+        VoltageTrace(
+            counts=counts_rows[j],
+            sample_rate=chain.synthesis.sample_rate,
+            resolution_bits=chain.adc.resolution_bits,
+            bitrate=chain.synthesis.bitrate,
+            start_s=task.starts[j],
+            metadata=(
+                {
+                    "sender": transceivers[task.senders[j]].name,
+                    "frame": task.messages[j][1],
+                }
+                if task.messages
+                else {}
+            ),
+        )
+        for j in range(n)
+    ]
     edges: list[ExtractedEdgeSet] | None = None
     ledger: list[tuple[int, str]] = []
     if task.extract:
@@ -207,13 +186,10 @@ def _render_chunk(task: _RenderChunk) -> _ChunkResult:
             task.extraction,
             skip_failures=task.skip_failures,
             index_base=task.lo,
-            impl=task.extract_impl,
         )
-    if not task.batch or task.messages:
-        return "traces", traces, edges, ledger
-    if task.use_shm:
-        return "shm", pack_arrays(counts_rows), edges, ledger
-    return "rows", counts_rows, edges, ledger
+    if task.messages:
+        return traces, edges, ledger
+    return pack_arrays(counts_rows), edges, ledger
 
 
 def _run_engine(
@@ -224,36 +200,24 @@ def _run_engine(
     seed: int,
     truncate_bits: int | None,
     jobs: int | None,
-    batch: bool,
     extract: bool,
     extraction: ExtractionConfig | None,
     skip_failures: bool,
-    shm: bool | None = None,
 ) -> tuple[list[VoltageTrace], list[ExtractedEdgeSet] | None]:
     messages = tuple(messages)
     if not messages:
         return [], [] if extract else None
     n_workers = _effective_workers(resolve_jobs(jobs))
+    # Inline chunks need no hand-off; shared memory carries the counts
+    # only when results actually cross a process boundary.
     inline = n_workers == 1
-    # Inline chunks need no hand-off; shared memory engages only when
-    # results actually cross a process boundary.
-    use_shm = batch and not inline and resolve_shm(shm)
-    # Resolve the walker implementation here, in the parent: persistent
-    # pool workers inherit the environment of their fork, so reading
-    # REPRO_EXTRACT_IMPL worker-side would go stale after the first run.
-    extract_impl = resolve_extract_impl() if extract else None
-    wire_matrix: np.ndarray | None = None
-    wire_lengths: tuple[int, ...] = ()
-    if batch:
-        wires = [frame.stuffed_bits() for _, frame, _ in messages]
-        wire_lengths = tuple(len(w) for w in wires)
-        wire_matrix = np.ones(
-            (len(messages), max(wire_lengths)), dtype=np.int8
-        )
-        for j, w in enumerate(wires):
-            # bytes() packs the 0/1 ints at C speed; the row assignment
-            # is then a memcpy instead of 100+ PyObject conversions.
-            wire_matrix[j, : len(w)] = np.frombuffer(bytes(w), dtype=np.uint8)
+    wires = [frame.stuffed_bits() for _, frame, _ in messages]
+    wire_lengths = tuple(len(w) for w in wires)
+    wire_matrix = np.ones((len(messages), max(wire_lengths)), dtype=np.int8)
+    for j, w in enumerate(wires):
+        # bytes() packs the 0/1 ints at C speed; the row assignment
+        # is then a memcpy instead of 100+ PyObject conversions.
+        wire_matrix[j, : len(w)] = np.frombuffer(bytes(w), dtype=np.uint8)
     # One chunk per worker: big chunks amortise the per-chunk numpy setup
     # (and give the columnar extractor wide blocks); the persistent pool
     # keeps dispatch latency negligible.
@@ -267,19 +231,16 @@ def _run_engine(
             truncate_bits=truncate_bits,
             seed=seed,
             lo=lo,
-            wire=wire_matrix[lo:hi] if wire_matrix is not None else None,
+            wire=wire_matrix[lo:hi],
             wire_lengths=wire_lengths[lo:hi],
             starts=tuple(start_s for _, _, start_s in messages[lo:hi]),
             senders=tuple(sender for sender, _, _ in messages[lo:hi]),
-            # Cross-process batch chunks ship only the wire matrix;
-            # inline (and unbatched) chunks keep the frames at hand.
-            messages=messages[lo:hi] if (inline or not batch) else (),
-            batch=batch,
+            # Cross-process chunks ship only the wire matrix; inline
+            # chunks keep the frames at hand.
+            messages=messages[lo:hi] if inline else (),
             extract=extract,
             extraction=extraction,
-            extract_impl=extract_impl,
             skip_failures=skip_failures,
-            use_shm=use_shm,
         )
         for lo, hi in slices
     ]
@@ -292,15 +253,12 @@ def _run_engine(
     traces: list[VoltageTrace] = []
     edges: list[ExtractedEdgeSet] | None = [] if extract else None
     n_skipped = 0
-    for task, (kind, payload, chunk_edges, ledger) in zip(tasks, chunked):
-        if kind == "traces":
+    for task, (payload, chunk_edges, ledger) in zip(tasks, chunked):
+        if isinstance(payload, list):
             chunk_traces = payload
         else:
-            counts_rows = (
-                get_arena().attach(payload) if kind == "shm" else payload
-            )
             chunk_traces = []
-            for j, counts in enumerate(counts_rows):
+            for j, counts in enumerate(get_arena().attach(payload)):
                 sender, frame, start_s = messages[task.lo + j]
                 chunk_traces.append(
                     VoltageTrace(
@@ -319,7 +277,7 @@ def _run_engine(
         if not extract:
             continue
         assert edges is not None
-        if kind == "traces":
+        if isinstance(payload, list):
             edges.extend(chunk_edges or [])
         else:
             # Worker-side traces carried empty metadata; graft the
@@ -413,8 +371,6 @@ def render_transmissions(
     seed: int = 0,
     truncate_bits: int | None = DEFAULT_TRUNCATE_BITS,
     jobs: int | None = None,
-    batch: bool = True,
-    shm: bool | None = None,
 ) -> list[VoltageTrace]:
     """Render scheduled transmissions to voltage traces, in bus order."""
     traces, _ = _run_engine(
@@ -424,11 +380,9 @@ def render_transmissions(
         seed=seed,
         truncate_bits=truncate_bits,
         jobs=jobs,
-        batch=batch,
         extract=False,
         extraction=None,
         skip_failures=False,
-        shm=shm,
     )
     return traces
 
@@ -441,17 +395,14 @@ def capture_session_engine(
     seed: int = 0,
     truncate_bits: int | None = DEFAULT_TRUNCATE_BITS,
     jobs: int | None = None,
-    batch: bool = True,
     cache: CaptureCache | None = None,
-    shm: bool | None = None,
 ) -> CaptureSession:
     """Engine-backed capture: pad-batched, parallel, optionally cached.
 
     The cache key covers everything the output depends on (vehicle
     profile, environment, duration, seed, truncation, schema version)
-    and deliberately *excludes* ``jobs``/``batch``/``shm`` — those
-    change only how the work is scheduled and shipped, never the bytes
-    produced.
+    and deliberately *excludes* ``jobs`` — it changes only how the work
+    is scheduled and shipped, never the bytes produced.
     """
     key = None
     if cache is not None:
@@ -473,8 +424,6 @@ def capture_session_engine(
         seed=seed,
         truncate_bits=truncate_bits,
         jobs=jobs,
-        batch=batch,
-        shm=shm,
     )
     if cache is not None and key is not None:
         cache.put(key, traces)
@@ -482,17 +431,11 @@ def capture_session_engine(
 
 
 def _extract_chunk(
-    payload: tuple[
-        tuple[VoltageTrace, ...], ExtractionConfig | None, bool, int, str
-    ],
+    payload: tuple[tuple[VoltageTrace, ...], ExtractionConfig | None, bool, int],
 ) -> tuple[list[ExtractedEdgeSet], list[tuple[int, str]]]:
-    traces, config, skip_failures, lo, impl = payload
+    traces, config, skip_failures, lo = payload
     return extract_many_indexed(
-        list(traces),
-        config,
-        skip_failures=skip_failures,
-        index_base=lo,
-        impl=impl,
+        list(traces), config, skip_failures=skip_failures, index_base=lo
     )
 
 
@@ -520,9 +463,8 @@ def extract_many_parallel(
     n_workers = _effective_workers(resolve_jobs(jobs))
     if n_workers == 1:
         return extract_many(traces, config, skip_failures=skip_failures)
-    impl = resolve_extract_impl()  # parent-side: see _run_engine
     payloads = [
-        (tuple(traces[lo:hi]), config, skip_failures, lo, impl)
+        (tuple(traces[lo:hi]), config, skip_failures, lo)
         for lo, hi in chunk_slices(len(traces), n_workers)
     ]
     chunked = parallel_map(_extract_chunk, payloads, jobs=n_workers, chunk_size=1)
@@ -544,10 +486,8 @@ def capture_and_extract(
     truncate_bits: int | None = DEFAULT_TRUNCATE_BITS,
     extraction: ExtractionConfig | None = None,
     jobs: int | None = None,
-    batch: bool = True,
     cache: CaptureCache | None = None,
     skip_failures: bool = False,
-    shm: bool | None = None,
 ) -> tuple[CaptureSession, list[ExtractedEdgeSet]]:
     """Capture a session and extract its edge sets in one fused pass.
 
@@ -580,11 +520,9 @@ def capture_and_extract(
         seed=seed,
         truncate_bits=truncate_bits,
         jobs=jobs,
-        batch=batch,
         extract=True,
         extraction=extraction,
         skip_failures=skip_failures,
-        shm=shm,
     )
     if cache is not None:
         cache.put(key, traces)

@@ -26,7 +26,9 @@ Lifecycle (crash-safe by construction)
   :meth:`SharedArena.close`, or the ``atexit`` sweep — unmaps it.
 * Segments that cannot be closed (a view still borrows the buffer at
   interpreter shutdown) are counted in the leak metric rather than
-  silently dropped.
+  silently dropped, and their mapping is handed over to the views: it is
+  unmapped when the last view dies, and ``SharedMemory.__del__`` never
+  tries to close a buffer that is still exported.
 
 All accounting is exported under literal ``vprofile_perf_shm_*`` metric
 names (VPL401).
@@ -35,7 +37,6 @@ names (VPL401).
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 import weakref
 from dataclasses import dataclass
@@ -53,35 +54,6 @@ SHM_SEGMENTS_METRIC = "vprofile_perf_shm_segments_total"
 SHM_BYTES_METRIC = "vprofile_perf_shm_bytes_total"
 SHM_OPEN_METRIC = "vprofile_perf_shm_segments_open"
 SHM_LEAKED_METRIC = "vprofile_perf_shm_segments_leaked_total"
-
-#: Environment switch for the zero-copy hand-off (CLI ``--no-shm``).
-SHM_ENV_VAR = "REPRO_SHM"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"0", "false", "no", "off"})
-
-
-def resolve_shm(shm: bool | None = None) -> bool:
-    """Whether the engine should hand chunks off over shared memory.
-
-    Explicit argument wins, then ``REPRO_SHM``, then the default of
-    ``True`` — shared memory changes only how bytes travel, never the
-    bytes, so it is safe to prefer.
-    """
-    if shm is not None:
-        return bool(shm)
-    raw = os.environ.get(SHM_ENV_VAR)
-    if raw is None or raw.strip() == "":
-        return True
-    value = raw.strip().lower()
-    if value in _TRUTHY:
-        return True
-    if value in _FALSY:
-        return False
-    raise PerfError(
-        f"{SHM_ENV_VAR} must be one of {sorted(_TRUTHY | _FALSY)}, got {raw!r}"
-    )
-
 
 @dataclass(frozen=True)
 class ShmChunk:
@@ -194,7 +166,10 @@ class SharedArena:
         total = sum(chunk.lengths)
         base = np.frombuffer(segment.buf, dtype=np.dtype(chunk.dtype), count=total)
         base.flags.writeable = False
-        weakref.finalize(base, self._release, chunk.name)
+        # Not at exit: weakref.finalize would otherwise fire the release
+        # for views that are still alive, and the exit-time close() must
+        # see those segments to count and hand them over.
+        weakref.finalize(base, self._release, chunk.name).atexit = False
         views: list[np.ndarray] = []
         offset = 0
         for length in chunk.lengths:
@@ -244,29 +219,23 @@ class SharedArena:
         """Force-close every remaining mapping; returns the leak count.
 
         Dead-list segments are swept first.  Segments whose buffers are
-        still borrowed by live views cannot be unmapped — they are
-        counted as leaked and parked on the dead list, where a later
-        :meth:`sweep` can still reclaim them once the views die (and
-        the OS reclaims them at process exit regardless, since every
-        name was already unlinked at attach time).
+        still borrowed by live views cannot be unmapped now — they are
+        counted as leaked and handed over to their views
+        (:func:`_hand_over`), which unmap them when the last view dies
+        (every name was already unlinked at attach time, so nothing
+        outlives the process either way).
         """
         self.sweep()
         with self._lock:
             segments = list(self._segments.items())
             self._segments.clear()
         leaked = 0
-        still_borrowed: list[shared_memory.SharedMemory] = []
         for _name, segment in segments:
             try:
                 segment.close()
             except BufferError:
                 leaked += 1
-                still_borrowed.append(segment)
-        if still_borrowed:
-            # Dropping the last reference would fire SharedMemory.__del__
-            # against the still-exported buffer; park them instead.
-            with self._lock:
-                self._dead.extend(still_borrowed)
+                _hand_over(segment)
         if leaked:
             get_registry().counter(
                 SHM_LEAKED_METRIC,
@@ -284,6 +253,22 @@ class SharedArena:
         get_registry().gauge(
             SHM_OPEN_METRIC, help="Shared segments currently mapped"
         ).set(self.open_segments)
+
+
+def _hand_over(segment: shared_memory.SharedMemory) -> None:
+    """Leave a still-borrowed mapping to the views that borrow it.
+
+    The views' base array holds the segment's memoryview, which holds
+    the mmap, so the pages stay mapped exactly as long as a view lives
+    and are unmapped by the last one's deallocation.  Dropping the
+    segment's own references turns its ``close()`` — and therefore its
+    ``__del__``, which would otherwise raise ``BufferError`` against the
+    exported buffer (at interpreter exit, every time) — into closing
+    the file descriptor only.
+    """
+    segment._buf = None  # type: ignore[attr-defined]  # noqa: SLF001
+    segment._mmap = None  # type: ignore[attr-defined]  # noqa: SLF001
+    segment.close()
 
 
 _ARENA = SharedArena()
@@ -304,8 +289,6 @@ __all__ = [
     "SharedArena",
     "pack_arrays",
     "get_arena",
-    "resolve_shm",
-    "SHM_ENV_VAR",
     "SHM_SEGMENTS_METRIC",
     "SHM_BYTES_METRIC",
     "SHM_OPEN_METRIC",

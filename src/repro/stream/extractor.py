@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.acquisition.segmentation import SegmentationConfig
+from repro.acquisition.trace import VoltageTrace
 from repro.core.edge_extraction import (
     ExtractedEdgeSet,
     ExtractionConfig,

@@ -28,11 +28,11 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.detection import AnomalyReason
+from repro.core.pipeline import VProfilePipeline
 from repro.errors import StreamError
 from repro.ids.alerts import Alert, AlertLog
 from repro.obs.clock import monotonic
@@ -44,9 +44,6 @@ from repro.stream.extractor import StreamingExtractor, StreamMessage
 from repro.stream.queues import OverflowPolicy
 from repro.stream.telemetry import StreamTelemetry, TelemetryConfig
 from repro.stream.workers import ShardedWorkerPool, StreamVerdict
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.pipeline import VProfilePipeline
 
 #: Chunks ingested by the runtime.
 CHUNKS_METRIC = "vprofile_stream_chunks_total"
@@ -130,7 +127,7 @@ class StreamReport:
 class StreamRuntime:
     """Supervise one streaming detection run over a chunk source."""
 
-    def __init__(self, pipeline: "VProfilePipeline", config: StreamConfig | None = None):
+    def __init__(self, pipeline: VProfilePipeline, config: StreamConfig | None = None):
         self.pipeline = pipeline
         self.config = config or StreamConfig()
 

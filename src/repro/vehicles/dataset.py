@@ -79,7 +79,6 @@ def capture_session(
     truncate_bits: int | None = DEFAULT_TRUNCATE_BITS,
     jobs: int | None = None,
     cache=None,
-    shm: bool | None = None,
 ) -> CaptureSession:
     """Record ``duration_s`` of bus traffic under ``env``.
 
@@ -93,9 +92,6 @@ def capture_session(
     traces are reproducible across job counts and cache state but
     differ from this function's default sequential-RNG stream; leave
     both unset to keep legacy seed-pinned captures byte-stable.
-    ``shm`` picks how multi-worker chunks travel back to the parent
-    (``None`` defers to ``REPRO_SHM``, default shared memory); it never
-    changes the bytes.
     """
     if duration_s <= 0:
         raise DatasetError(f"duration must be positive, got {duration_s}")
@@ -110,7 +106,6 @@ def capture_session(
             truncate_bits=truncate_bits,
             jobs=jobs,
             cache=cache,
-            shm=shm,
         )
     rng = np.random.default_rng(seed)
     generator = TrafficGenerator(

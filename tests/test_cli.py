@@ -1,7 +1,6 @@
 """Command-line interface workflows."""
 
 import json
-import os
 
 import pytest
 
@@ -199,31 +198,6 @@ class TestJobsAndCache:
             "--jobs", "1", "--output", str(tmp_path / "flag.npz"),
         ]) == 0
         capsys.readouterr()
-
-    def test_no_shm_flag_sets_env_and_matches_shm_capture(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.acquisition.archive import load_traces
-        from repro.perf.shm import SHM_ENV_VAR
-
-        monkeypatch.delenv(SHM_ENV_VAR, raising=False)
-        piped = tmp_path / "piped.npz"
-        shared = tmp_path / "shared.npz"
-        assert main([
-            "capture", "--vehicle", "sterling", "--duration", "1",
-            "--seed", "5", "--jobs", "2", "--no-shm", "--output", str(piped),
-        ]) == 0
-        assert os.environ.get(SHM_ENV_VAR) == "0"
-        monkeypatch.delenv(SHM_ENV_VAR, raising=False)
-        assert main([
-            "capture", "--vehicle", "sterling", "--duration", "1",
-            "--seed", "5", "--jobs", "2", "--output", str(shared),
-        ]) == 0
-        capsys.readouterr()
-        import numpy as np
-
-        for a, b in zip(load_traces(piped), load_traces(shared)):
-            assert np.array_equal(a.counts, b.counts)
 
     def test_cache_flow_and_subcommand(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

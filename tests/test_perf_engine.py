@@ -23,8 +23,27 @@ from repro.perf.parallel import (
     message_seed,
     parallel_map,
     resolve_jobs,
+    rngs_for_slice,
     spawn_seeds,
 )
+from repro.vehicles.profiles import DEFAULT_TRUNCATE_BITS
+
+
+def _render_per_message(vehicle, transmissions, *, seed):
+    """Reference renderer: one ``capture_frame`` per message.
+
+    Message *i* draws from its own ``SeedSequence`` child, exactly as in
+    the engine, so the pad-batched renderer must match it byte for byte.
+    """
+    chain = vehicle.capture_chain(DEFAULT_TRUNCATE_BITS)
+    transceivers = {ecu.name: ecu.transceiver for ecu in vehicle.ecus}
+    rngs = rngs_for_slice(seed, 0, len(transmissions))
+    return [
+        chain.capture_frame(
+            tx.frame, transceivers[tx.sender], rng=rng, start_s=tx.start_s
+        )
+        for tx, rng in zip(transmissions, rngs)
+    ]
 
 
 def _assert_traces_equal(a, b):
@@ -117,12 +136,8 @@ class TestEngineEquivalence:
 
     def test_batched_matches_unbatched(self, stream_vehicle):
         transmissions = plan_transmissions(stream_vehicle, 1.0, seed=7)
-        batched = render_transmissions(
-            stream_vehicle, transmissions, seed=7, batch=True
-        )
-        unbatched = render_transmissions(
-            stream_vehicle, transmissions, seed=7, batch=False
-        )
+        batched = render_transmissions(stream_vehicle, transmissions, seed=7)
+        unbatched = _render_per_message(stream_vehicle, transmissions, seed=7)
         _assert_traces_equal(batched, unbatched)
         starts = [trace.start_s for trace in batched]
         assert starts == sorted(starts)

@@ -2,12 +2,15 @@
 
 The contract under test is the one :mod:`repro.perf` promises — the
 job count and the capture cache change scheduling and storage, never
-the traces, the edge-set vectors, or the detector's verdict sequence.
+the traces, the edge-set vectors, or the detector's verdict sequence —
+plus the extraction contract: both production walkers reproduce the
+scalar reference walker (``tests/extraction_oracle.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import tempfile
 from unittest import mock
 
@@ -17,13 +20,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.detection import Detector
-from repro.core.edge_extraction import ExtractionConfig, extract_many
+from repro.core.edge_extraction import (
+    ExtractionConfig,
+    extract_edge_set,
+    extract_many,
+    extract_many_indexed,
+)
 from repro.core.model import VProfileModel
 from repro.core.pipeline import PipelineConfig, VProfilePipeline
 from repro.errors import ExtractionError
 from repro.perf import engine as engine_mod
 from repro.perf.cache import CaptureCache
 from repro.perf.engine import capture_and_extract, extract_many_parallel
+from tests import extraction_oracle as oracle
 
 DURATION_S = 0.6
 
@@ -48,6 +57,62 @@ def _verdicts(detector: Detector, edges) -> list[tuple[bool, str | None]]:
     return [
         (r.is_anomaly, r.reason.value if r.reason else None) for r in results
     ]
+
+
+@pytest.fixture(scope="module")
+def oracle_pools(stream_test_session, sterling_session):
+    """Clean traces at two sample rates (8 and 40 samples per bit)."""
+    return [
+        list(stream_test_session.traces[:30]),
+        list(sterling_session.traces[:12]),
+    ]
+
+
+def _corruptions():
+    """One corruption: kind, position and span as fractions of the trace."""
+    return st.tuples(
+        st.sampled_from(["truncate", "flip", "nan", "clip_low", "clip_high"]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=0.2),
+    )
+
+
+def _corrupt(trace, corruptions, config: ExtractionConfig):
+    counts = np.asarray(trace.counts)
+    for kind, where, span in corruptions:
+        if kind == "truncate":
+            counts = counts[: int(where * counts.size)]
+            continue
+        if counts.size == 0:
+            continue
+        counts = counts.astype(np.float64 if kind == "nan" else counts.dtype)
+        at = min(int(where * counts.size), counts.size - 1)
+        stop = at + max(1, int(span * counts.size))
+        if kind == "flip":
+            # One sample across the threshold, in whichever direction.
+            if counts[at] >= config.threshold:
+                counts[at] = math.floor(config.threshold) - 1
+            else:
+                counts[at] = math.ceil(config.threshold)
+        elif kind == "nan":
+            counts[at:stop] = np.nan
+        elif kind == "clip_low":
+            counts[at:stop] = 0
+        else:
+            counts[at:stop] = (1 << trace.resolution_bits) - 1
+    return dataclasses.replace(trace, counts=counts)
+
+
+def _summary(edge_set):
+    vector = edge_set.vector
+    return ("ok", edge_set.source_address, vector.dtype.str, vector.shape, vector.tobytes())
+
+
+def _outcome(walker, trace, config: ExtractionConfig):
+    try:
+        return _summary(walker(trace, config))
+    except ExtractionError as exc:
+        return ("error", str(exc))
 
 
 def _assert_equivalent(detector, reference, candidate):
@@ -77,49 +142,51 @@ class TestEngineProperties:
         )
         _assert_equivalent(trained_detector, serial, fanned)
 
-    @SETTINGS
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        jobs=st.integers(min_value=2, max_value=4),
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
     )
-    def test_shm_and_pipe_handoff_are_identical(
-        self, stream_vehicle, trained_detector, seed, jobs
-    ):
-        """How chunk bytes travel back never changes them.
-
-        The CPU-affinity cap would collapse multi-job runs to the
-        inline path on small CI boxes, so it is lifted for the test —
-        both runs must actually cross the worker boundary.  Varying
-        ``jobs`` also varies the chunking, exercising descriptor
-        reassembly at several chunk shapes.
-        """
-        with mock.patch.object(engine_mod, "_usable_cpus", return_value=4):
-            shared = capture_and_extract(
-                stream_vehicle, DURATION_S, seed=seed, jobs=jobs, shm=True
-            )
-            piped = capture_and_extract(
-                stream_vehicle, DURATION_S, seed=seed, jobs=jobs, shm=False
-            )
-        _assert_equivalent(trained_detector, shared, piped)
-
-    @SETTINGS
-    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @given(data=st.data())
     def test_vector_and_scalar_extraction_are_identical(
-        self, stream_vehicle, trained_detector, seed
+        self, oracle_pools, data
     ):
-        session, _ = capture_and_extract(
-            stream_vehicle, DURATION_S, seed=seed, jobs=1
+        """Both production walkers reproduce the scalar oracle exactly.
+
+        Over clean and corrupted traces (truncated, one sample flipped
+        across the threshold, NaN samples, ADC-clipped runs), the
+        per-message walker (``extract_edge_set``), the columnar walker
+        (``extract_many`` over a batch, ``skip_failures=True``) and the
+        oracle agree on every trace: the same vector bytes, or the same
+        ``ExtractionError`` message.
+        """
+        pool = data.draw(st.sampled_from(oracle_pools))
+        config = dataclasses.replace(
+            ExtractionConfig.for_trace(pool[0]),
+            n_edge_sets=data.draw(st.sampled_from([1, 2])),
         )
-        config = ExtractionConfig.for_trace(session.traces[0])
-        vector = extract_many(session.traces, config, impl="vector")
-        scalar = extract_many(session.traces, config, impl="scalar")
-        assert len(vector) == len(scalar)
-        for a, b in zip(vector, scalar):
-            assert a.source_address == b.source_address
-            assert np.array_equal(a.vector, b.vector)
-        assert _verdicts(trained_detector, vector) == _verdicts(
-            trained_detector, scalar
+        picks = data.draw(
+            st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=6)
         )
+        traces = [
+            _corrupt(pool[i], data.draw(st.lists(_corruptions(), max_size=3)), config)
+            for i in picks
+        ]
+        expected = [_outcome(oracle.extract_edge_set, trace, config) for trace in traces]
+        per_message = [_outcome(extract_edge_set, trace, config) for trace in traces]
+        assert per_message == expected
+        columnar = iter(extract_many(traces, config, skip_failures=True))
+        _, skipped = extract_many_indexed(traces, config, skip_failures=True)
+        reasons = dict(skipped)
+        from_batch = [
+            ("error", reasons[i]) if i in reasons else _summary(next(columnar))
+            for i in range(len(traces))
+        ]
+        assert from_batch == expected
+        assert next(columnar, None) is None
 
     @SETTINGS
     @given(seed=st.integers(min_value=0, max_value=10_000))
