@@ -49,9 +49,8 @@ def test_telemetry_overhead_under_budget(trained, tmp_path_factory):
     pipeline, stream = trained
     flight_dir = tmp_path_factory.mktemp("flight")
 
-    plain = StreamConfig(n_workers=2, batch_size=16)
+    plain = StreamConfig(batch_size=16)
     telemetered = StreamConfig(
-        n_workers=2,
         batch_size=16,
         telemetry=TelemetryConfig(flight_dir=flight_dir),
     )
@@ -62,7 +61,7 @@ def test_telemetry_overhead_under_budget(trained, tmp_path_factory):
     overhead = 1.0 - telemetry_fps / base_fps
 
     lines = [
-        "Streaming telemetry overhead (Vehicle A, ~8 s replay, 2 workers)",
+        "Streaming telemetry overhead (Vehicle A, ~8 s replay)",
         f"  plain     : {base_fps:8.0f} frames/s ({messages} messages)",
         f"  telemetry : {telemetry_fps:8.0f} frames/s "
         f"(timeseries + health + flight recorder)",

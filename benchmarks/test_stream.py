@@ -4,10 +4,10 @@ The streaming runtime exists to keep up with a live digitizer, so its
 figure of merit is end-to-end classified frames per second compared to
 the offline batch path (segment the whole capture, extract everything,
 classify one big vectorised batch).  This benchmark replays one
-continuous capture through both paths and reports the ratio at 1/2/4
-workers, plus the verdict agreement that makes the comparison honest.
+continuous capture through both paths and reports the ratio, plus the
+verdict agreement that makes the comparison honest.
 
-Marked ``slow``: it captures ~20 s of traffic and runs four full
+Marked ``slow``: it captures ~20 s of traffic and runs several full
 detection passes, so it stays out of the tier-1 suite.
 """
 
@@ -22,7 +22,6 @@ from repro.vehicles.dataset import capture_session
 
 from time import perf_counter
 
-WORKER_COUNTS = (1, 2, 4)
 MARGIN = 5.0
 
 
@@ -52,34 +51,22 @@ def test_stream_vs_batch_throughput(trained, benchmark):
     n_batch, batch_s, batch_results = _batch_pass(pipeline, stream)
     batch_fps = n_batch / batch_s
 
-    rows = []
-    agreement = True
-    for workers in WORKER_COUNTS:
-        cfg = StreamConfig(n_workers=workers, batch_size=16)
-        run = pipeline.stream(ReplaySource(stream, 8192), cfg)
-        assert run.messages == n_batch
-        agreement &= all(
-            v.result == r for v, r in zip(run.verdicts, batch_results)
-        )
-        rows.append((workers, run.frames_per_s, run.messages, run.dropped))
-
+    cfg = StreamConfig(batch_size=16)
+    run = pipeline.stream(ReplaySource(stream, 8192), cfg)
+    assert run.messages == n_batch
+    agreement = all(v.result == r for v, r in zip(run.verdicts, batch_results))
     assert agreement, "streaming verdicts diverged from the batch path"
+    fps = run.frames_per_s
 
-    # pytest-benchmark statistics for the middle configuration.
     source = ReplaySource(stream, 8192)
-    cfg = StreamConfig(n_workers=2, batch_size=16)
     benchmark(lambda: pipeline.stream(source, cfg))
 
-    lines = [
+    text = "\n".join([
         "Streaming vs batch throughput (Vehicle A, ~10 s replay)",
-        f"  batch     : {batch_fps:8.0f} frames/s ({n_batch} messages)",
-    ]
-    for workers, fps, messages, dropped in rows:
-        lines.append(
-            f"  stream x{workers}: {fps:8.0f} frames/s "
-            f"({fps / batch_fps:5.2f}x batch, dropped={dropped})"
-        )
-    text = "\n".join(lines)
+        f"  batch : {batch_fps:8.0f} frames/s ({n_batch} messages)",
+        f"  stream: {fps:8.0f} frames/s "
+        f"({fps / batch_fps:5.2f}x batch, dropped={run.dropped})",
+    ])
     report("stream_throughput", text)
     report_json(
         "stream_throughput",
@@ -87,13 +74,11 @@ def test_stream_vs_batch_throughput(trained, benchmark):
             "batch": {"frames_per_s": batch_fps, "messages": n_batch},
             "stream": [
                 {
-                    "workers": workers,
                     "frames_per_s": fps,
-                    "messages": messages,
-                    "dropped": dropped,
+                    "messages": run.messages,
+                    "dropped": run.dropped,
                     "speedup_vs_batch": fps / batch_fps,
                 }
-                for workers, fps, messages, dropped in rows
             ],
             "verdict_agreement": agreement,
         },

@@ -6,7 +6,7 @@ restarts, and keep its alert sequence consistent across them.  This
 example:
 
 1. trains a pipeline on a clean capture of the two-ECU Sterling twin;
-2. streams fresh traffic through the sharded runtime with in-flight
+2. streams fresh traffic through the runtime with in-flight
    hijack injection, printing the alerts as they come out;
 3. kills the run partway through, then resumes from the checkpoint and
    shows the combined run reproduces the uninterrupted one exactly.
@@ -53,7 +53,7 @@ def main() -> None:
     attack = dict(hijack_probability=0.25, hijack_seed=7)
 
     print(f"\nStreaming {source.n_chunks} chunks with SA-hijack injection...")
-    full = pipeline.stream(source, StreamConfig(n_workers=2, **attack))
+    full = pipeline.stream(source, StreamConfig(**attack))
     for alert in full.alerts.alerts[:5]:
         print(f"  ALERT t={alert.timestamp_s:.4f}s SA 0x{alert.can_id:02X} "
               f"{alert.reason}")
@@ -66,7 +66,7 @@ def main() -> None:
               f"every 50 chunks...")
         part = StreamRuntime(
             _fresh(pipeline), StreamConfig(
-                n_workers=2, checkpoint_dir=checkpoint_dir,
+                checkpoint_dir=checkpoint_dir,
                 checkpoint_every_chunks=50, **attack,
             )
         ).run(InterruptedSource(source, cut))
@@ -74,7 +74,7 @@ def main() -> None:
               f"({part.checkpoints} checkpoints)")
 
         rest = StreamRuntime(
-            _fresh(pipeline), StreamConfig(n_workers=2, **attack)
+            _fresh(pipeline), StreamConfig(**attack)
         ).run(source, resume=checkpoint_dir)
         print(f"  resumed: {rest.messages} more messages")
 

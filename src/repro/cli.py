@@ -10,7 +10,8 @@ Python:
 * ``detect``      — replay an archive through a saved model, optionally
   injecting hijack attacks, and print the confusion matrix;
 * ``stream``      — run the online streaming runtime (chunked ingestion,
-  sharded workers, backpressure, checkpoint/resume) and print alerts;
+  a classification worker, backpressure, checkpoint/resume) and print
+  alerts;
   ``--serve HOST:PORT`` exposes ``/metrics`` / ``/health`` /
   ``/timeseries`` over HTTP while the run is live, ``--flight-dir``
   dumps forensics bundles on alert;
@@ -365,11 +366,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
             TelemetryConfig(flight_dir=args.flight_dir),
             model=model,
             margin=margin,
-            n_shards=args.workers,
         )
 
     config = StreamConfig(
-        n_workers=args.workers,
         queue_capacity=args.queue_capacity,
         policy=OverflowPolicy(args.policy),
         batch_size=args.batch_size,
@@ -400,7 +399,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 port=port,
             ).start()
             print(f"serving on {server.url} (/metrics /health /timeseries)")
-        with obs.span("cli.stream", vehicle=vehicle.name, workers=config.n_workers):
+        with obs.span("cli.stream", vehicle=vehicle.name):
             report = pipeline.stream(source, config, resume=resume)
         if server is not None and args.serve_grace > 0:
             print(f"serving for another {args.serve_grace:g}s after the run")
@@ -420,8 +419,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
               f"(--max-alerts {args.max_alerts})")
 
     print(f"streamed {report.chunks} chunks / {report.samples} samples "
-          f"({config.n_workers} worker{'s' if config.n_workers != 1 else ''}, "
-          f"policy {OverflowPolicy(config.policy).value})")
+          f"(policy {OverflowPolicy(config.policy).value})")
     reasons = ", ".join(f"{k}={v}" for k, v in sorted(report.reasons.items()))
     print(f"  messages={report.messages} anomalies={report.anomalies}"
           + (f" [{reasons}]" if reasons else ""))
@@ -630,10 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--chunk-samples", type=int,
                         default=DEFAULT_CHUNK_SAMPLES, metavar="N",
                         help="digitizer chunk size in samples")
-    stream.add_argument("--workers", type=int, default=2,
-                        help="classification workers (= SA shards)")
     stream.add_argument("--queue-capacity", type=int, default=256,
-                        help="per-shard queue bound")
+                        help="classification queue bound")
     stream.add_argument("--policy",
                         choices=[p.value for p in OverflowPolicy],
                         default=OverflowPolicy.BLOCK.value,

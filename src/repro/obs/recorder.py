@@ -2,10 +2,10 @@
 
 Viden-style attacker identification needs the voltage context *around*
 an alert, not just the alert itself.  The :class:`FlightRecorder` keeps
-a bounded per-shard ring of the most recent classified messages (edge
-feature vector + verdict ingredients); when an anomaly arrives it arms
-a dump that completes after ``post_alert`` more records on that shard,
-then writes a **versioned forensics bundle**:
+a bounded ring of the most recent classified messages (edge feature
+vector + verdict ingredients); when an anomaly arrives it arms a dump
+that completes after ``post_alert`` more records, then writes a
+**versioned forensics bundle**:
 
 * ``manifest.json`` — bundle schema version, alert coordinates, margin,
   record index (seq/SA/verdict per row);
@@ -24,11 +24,10 @@ mismatch — the per-field :class:`ReplayMismatch` list then measures
 exactly how far the profile moved across the window, which is itself
 the drift-vs-poisoning signal the health monitor consumes.
 
-The recorder is called from worker threads; each shard ring has its own
-lock so shards never contend with each other on the hot path.  Heavy
-imports (``Detector``, ``VProfileModel``) happen lazily inside the
-dump/replay cold paths: ``repro.obs`` must stay import-cycle free from
-``repro.core``.
+The recorder is called from the classification worker thread; one lock
+guards the ring and the pending dump.  Heavy imports (``Detector``,
+``VProfileModel``) happen lazily inside the dump/replay cold paths:
+``repro.obs`` must stay import-cycle free from ``repro.core``.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class FlightRecord:
     """One classified message as the recorder remembers it."""
 
     seq: int
-    shard: int
     source_address: int
     start_s: float
     vector: np.ndarray
@@ -88,16 +86,14 @@ class _PendingDump:
 
 
 class FlightRecorder:
-    """Bounded per-shard rings of recent verdicts, dumped on alert.
+    """A bounded ring of recent verdicts, dumped on alert.
 
     Parameters
     ----------
     flight_dir:
         Directory receiving forensics bundles (created on first dump).
-    n_shards:
-        Ring count; record ``shard`` indexes into it.
     capacity:
-        Records retained per shard (the pre-alert context window).
+        Records retained (the pre-alert context window).
     post_alert:
         Records to wait for after the alert before dumping, so the
         bundle carries context on both sides of the event.
@@ -115,42 +111,35 @@ class FlightRecorder:
         self,
         flight_dir: str | Path,
         *,
-        n_shards: int = 1,
         capacity: int = 128,
         post_alert: int = 16,
         max_bundles: int = 8,
         model: "VProfileModel | None" = None,
         margin: float = 0.0,
     ):
-        if n_shards < 1:
-            raise ObservabilityError(f"n_shards must be >= 1, got {n_shards}")
         if capacity < 1:
             raise ObservabilityError(f"capacity must be >= 1, got {capacity}")
         if post_alert < 0:
             raise ObservabilityError(f"post_alert must be >= 0, got {post_alert}")
         self.flight_dir = Path(flight_dir)
-        self.n_shards = int(n_shards)
         self.capacity = int(capacity)
         self.post_alert = int(post_alert)
         self.max_bundles = int(max_bundles)
         self.model = model
         self.margin = float(margin)
-        self._rings: list[deque[FlightRecord]] = [
-            deque(maxlen=self.capacity) for _ in range(self.n_shards)
-        ]
-        self._locks = [threading.Lock() for _ in range(self.n_shards)]
-        self._pending: list[_PendingDump | None] = [None] * self.n_shards
+        self._ring: deque[FlightRecord] = deque(maxlen=self.capacity)
+        self._lock = threading.Lock()
+        self._pending: _PendingDump | None = None
         self._bundle_lock = threading.Lock()
         self._bundles_written = 0
         self.bundle_paths: list[Path] = []
 
     # ------------------------------------------------------------------
-    # Hot path (worker threads)
+    # Hot path (worker thread)
     # ------------------------------------------------------------------
     def record(
         self,
         seq: int,
-        shard: int,
         source_address: int,
         start_s: float,
         vector: np.ndarray,
@@ -159,7 +148,6 @@ class FlightRecorder:
         """Append one verdict; returns a bundle path when a dump fired."""
         entry = FlightRecord(
             seq=seq,
-            shard=shard,
             source_address=source_address,
             start_s=start_s,
             vector=np.asarray(vector, dtype=np.float64).copy(),
@@ -170,47 +158,40 @@ class FlightRecorder:
             min_distance=result.min_distance,
             slack=result.slack,
         )
-        ring_index = shard % self.n_shards
         to_dump: list[FlightRecord] | None = None
         alert: FlightRecord | None = None
-        with self._locks[ring_index]:
-            ring = self._rings[ring_index]
-            ring.append(entry)
-            pending = self._pending[ring_index]
+        with self._lock:
+            self._ring.append(entry)
+            pending = self._pending
             if pending is not None:
                 pending.remaining -= 1
                 if pending.remaining <= 0:
-                    to_dump = list(ring)
+                    to_dump = list(self._ring)
                     alert = pending.alert
-                    self._pending[ring_index] = None
+                    self._pending = None
             elif result.is_anomaly:
                 if self.post_alert == 0:
-                    to_dump = list(ring)
+                    to_dump = list(self._ring)
                     alert = entry
                 else:
-                    self._pending[ring_index] = _PendingDump(
-                        entry, self.post_alert
-                    )
+                    self._pending = _PendingDump(entry, self.post_alert)
         if to_dump is not None and alert is not None:
             return self._dump(alert, to_dump)
         return None
 
     def finish(self) -> list[Path]:
         """Flush dumps still waiting for post-alert context (stream end)."""
-        paths: list[Path] = []
-        for ring_index in range(self.n_shards):
-            with self._locks[ring_index]:
-                pending = self._pending[ring_index]
-                self._pending[ring_index] = None
-                to_dump = list(self._rings[ring_index]) if pending else None
-            if pending is not None and to_dump:
-                path = self._dump(pending.alert, to_dump)
-                if path is not None:
-                    paths.append(path)
-        return paths
+        with self._lock:
+            pending = self._pending
+            self._pending = None
+            to_dump = list(self._ring) if pending else None
+        if pending is None or not to_dump:
+            return []
+        path = self._dump(pending.alert, to_dump)
+        return [] if path is None else [path]
 
     def __len__(self) -> int:
-        return sum(len(ring) for ring in self._rings)
+        return len(self._ring)
 
     # ------------------------------------------------------------------
     # Dump (cold path)
@@ -229,7 +210,6 @@ class FlightRecorder:
             "margin": self.margin,
             "alert": {
                 "seq": alert.seq,
-                "shard": alert.shard,
                 "source_address": alert.source_address,
                 "verdict": alert.verdict,
                 "reason": alert.reason,
@@ -237,7 +217,6 @@ class FlightRecorder:
             "records": [
                 {
                     "seq": r.seq,
-                    "shard": r.shard,
                     "source_address": r.source_address,
                     "start_s": r.start_s,
                     "verdict": r.verdict,

@@ -11,10 +11,10 @@ that just ended legitimate?" — against a continuous digitizer stream:
   incremental message segmentation and Algorithm 1 extraction with
   state carried across chunk boundaries, provably equivalent to the
   batch path on the concatenated stream;
-* :mod:`repro.stream.queues` / :mod:`repro.stream.workers` — bounded
-  per-shard queues with explicit backpressure policies feeding
-  SA-sharded classification workers that batch the vectorised detector;
-* :mod:`repro.stream.runtime` — the supervisor: ordering, hijack
+* :mod:`repro.stream.queues` / :mod:`repro.stream.workers` — a bounded
+  queue with an explicit backpressure policy feeding one classification
+  worker that batches the vectorised detector;
+* :mod:`repro.stream.runtime` — the supervisor: hijack
   injection, checkpoint/resume, graceful shutdown, obs metrics;
 * :mod:`repro.stream.telemetry` — longitudinal telemetry riding on the
   runtime: metrics time-series, per-SA profile health, and the alert
@@ -26,7 +26,7 @@ Typical use::
     pipeline = VProfilePipeline()
     pipeline.train(training_traces)
     source = ReplaySource.from_archive("capture.npz")
-    report = pipeline.stream(source, StreamConfig(n_workers=2))
+    report = pipeline.stream(source, StreamConfig(hijack_probability=0.2))
     print(report.frames_per_s, report.anomalies)
 """
 

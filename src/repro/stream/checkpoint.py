@@ -11,8 +11,8 @@ A checkpoint is a directory with three files:
   message sequence number, the detection margin, and the Algorithm 1
   extraction constants.
 
-Checkpoints are only taken at quiesced chunk boundaries (all shard
-queues drained, no in-flight classification), so resuming re-ingests
+Checkpoints are only taken at quiesced chunk boundaries (classification
+queue drained, no in-flight classification), so resuming re-ingests
 nothing and re-classifies nothing: the resumed run's verdict sequence
 continues exactly where the interrupted one stopped.
 """

@@ -7,7 +7,7 @@ explicit per queue instead of burying it in an unbounded buffer that
 slowly eats the process.
 
 The queue keeps its own counters (puts, gets, drops, high watermark) so
-the runtime can export per-shard gauges without reaching into deque
+the runtime can export queue gauges without reaching into deque
 internals.
 """
 

@@ -5,17 +5,17 @@
 
 * the **ingestion stage** pulls chunks from a :class:`ChunkSource` and
   feeds the incremental extractor;
-* extracted messages are sharded by source address onto the
-  :class:`ShardedWorkerPool`'s bounded queues — when a queue fills, the
-  configured overflow policy (block / drop-newest / drop-oldest)
-  decides between backpressure and loss;
-* workers classify in vectorised batches; OK verdicts optionally fold
-  back into the *shared* profile store through the pipeline's Algorithm
-  4 updater, so drift adaptation learned on the stream is visible to
-  every other consumer of the model;
+* extracted messages go onto the :class:`ShardedWorkerPool`'s one
+  bounded queue — when it fills, the configured overflow policy
+  (block / drop-newest / drop-oldest) decides between backpressure and
+  loss;
+* the worker classifies in vectorised batches; OK verdicts optionally
+  fold back into the *shared* profile store through the pipeline's
+  Algorithm 4 updater, so drift adaptation learned on the stream is
+  visible to every other consumer of the model;
 * the supervisor checkpoints at quiesced chunk boundaries, restores
-  from a checkpoint, reorders verdicts by stream sequence, and reports
-  per-stage metrics through :mod:`repro.obs`.
+  from a checkpoint, and reports per-stage metrics through
+  :mod:`repro.obs`.
 
 An optional hijack injector rewrites source addresses in flight with a
 seeded probability — the streaming twin of the paper's replay-and-
@@ -24,7 +24,6 @@ rewrite attack methodology, used by the CLI to demonstrate alerts.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,10 +58,8 @@ class StreamConfig:
 
     Attributes
     ----------
-    n_workers:
-        Classification workers (= shard count).
     queue_capacity / policy:
-        Per-shard queue bound and overflow behaviour under load.
+        Classification queue bound and overflow behaviour under load.
     batch_size:
         Feature vectors classified per vectorised detector call.
     checkpoint_dir:
@@ -80,7 +77,6 @@ class StreamConfig:
         ``/health`` while the run is live).  ``None`` disables it.
     """
 
-    n_workers: int = 1
     queue_capacity: int = 256
     policy: OverflowPolicy | str = OverflowPolicy.BLOCK
     batch_size: int = 8
@@ -95,9 +91,9 @@ class StreamConfig:
 class StreamReport:
     """What one streaming run saw and decided.
 
-    ``verdicts`` is ordered by stream sequence number regardless of
-    which worker classified each message, so two runs over the same
-    source are comparable element by element.
+    ``verdicts`` is ordered by stream sequence number (the one worker
+    drains a FIFO queue), so two runs over the same source are
+    comparable element by element.
     """
 
     chunks: int = 0
@@ -172,8 +168,9 @@ class StreamRuntime:
         registry = get_registry()
         events = get_event_log()
         report = StreamReport()
+        # Appended by the worker thread only, read after pool.close()
+        # has joined it: no lock needed.
         results: list[StreamVerdict] = []
-        results_lock = threading.Lock()
 
         telemetry: StreamTelemetry | None = None
         if config.telemetry is not None:
@@ -186,7 +183,6 @@ class StreamRuntime:
                     config.telemetry,
                     model=model,
                     margin=pipeline.config.margin,
-                    n_shards=config.n_workers,
                 )
             telemetry.attach_updater(pipeline.updater)
         report.telemetry = telemetry
@@ -194,12 +190,10 @@ class StreamRuntime:
         def collect(verdict: StreamVerdict) -> None:
             if telemetry is not None:
                 telemetry.on_verdict(verdict)
-            with results_lock:
-                results.append(verdict)
+            results.append(verdict)
 
         pool = ShardedWorkerPool(
             pipeline.detector,
-            config.n_workers,
             queue_capacity=config.queue_capacity,
             policy=config.policy,
             batch_size=config.batch_size,
@@ -209,7 +203,6 @@ class StreamRuntime:
         )
         events.info(
             "stream.started",
-            workers=config.n_workers,
             policy=OverflowPolicy(config.policy).value,
             queue_capacity=config.queue_capacity,
             batch_size=config.batch_size,
@@ -259,7 +252,6 @@ class StreamRuntime:
             report.bundles = telemetry.finish()
         report.wall_s = monotonic() - t0
 
-        results.sort(key=lambda v: v.seq)
         report.verdicts = results
         report.messages = len(results)
         report.dropped = pool.dropped
@@ -283,11 +275,7 @@ class StreamRuntime:
                     detector="stream-voltage",
                     can_id=verdict.result.source_address,
                     reason=reason_name,
-                    detail=(
-                        f"seq {verdict.seq}: SA "
-                        f"0x{verdict.result.source_address:02X} via worker "
-                        f"{verdict.worker}"
-                    ),
+                    detail=f"seq {verdict.seq}: SA 0x{verdict.result.source_address:02X}",
                 )
             )
         self._mirror_into_pipeline(report, registry)

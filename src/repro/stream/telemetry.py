@@ -12,8 +12,8 @@ components into one object the runtime can drive:
 
 The aggregator itself holds no locks: each component is internally
 thread-safe, and the aggregator only ever delegates.  ``on_verdict`` is
-invoked from worker threads; ``on_chunk`` and ``finish`` from the
-supervisor thread.
+invoked from the classification worker thread; ``on_chunk`` and
+``finish`` from the supervisor thread.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class TelemetryConfig:
         Directory for forensics bundles; ``None`` disables the flight
         recorder.
     recorder_capacity / post_alert / max_bundles:
-        Per-shard ring size, post-alert context length, and bundle cap
+        Ring size, post-alert context length, and bundle cap
         of the flight recorder.
     """
 
@@ -67,7 +67,6 @@ class StreamTelemetry:
         *,
         model: VProfileModel,
         margin: float = 0.0,
-        n_shards: int = 1,
     ) -> None:
         self.config = config
         self.timeseries: TimeSeriesStore | None = None
@@ -84,7 +83,6 @@ class StreamTelemetry:
         if config.flight_dir is not None:
             self.recorder = FlightRecorder(
                 config.flight_dir,
-                n_shards=n_shards,
                 capacity=config.recorder_capacity,
                 post_alert=config.post_alert,
                 max_bundles=config.max_bundles,

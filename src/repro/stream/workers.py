@@ -1,15 +1,16 @@
-"""Sharded classification workers with per-shard bounded queues.
+"""The classification worker: one thread behind one bounded queue.
 
-Frames are sharded by sender identity (J1939 source address) onto one
-bounded queue per worker, so every message from a given ECU is judged by
-the same worker — per-cluster work stays cache-warm and online updates
-for one cluster never race between workers.  Each worker drains its
-queue in batches and classifies the whole batch with the vectorised
-detector path, which is where the streaming runtime's throughput
-headroom comes from.
+Extracted messages go onto a single :class:`BoundedQueue`; one worker
+thread drains it in batches and classifies each batch with the
+vectorised detector path, which is where the streaming runtime's
+throughput headroom comes from.  The queue is FIFO and there is one
+consumer, so verdicts come out in stream sequence order.
 
-The pool never reorders verdicts within a shard; cross-shard ordering is
-restored by the supervisor (results carry their stream sequence number).
+There is one worker because more do not pay: on the stream-replay
+workload (Vehicle A, 2 cores) SA-sharded pools of 1/2/4 workers ran at
+1114/1103/1010 msg/s with identical verdicts: small-batch classify is
+mostly Python-level work under the GIL, and the Algorithm 4 update
+serialises on the one shared profile store.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.obs.registry import get_registry
 from repro.stream.extractor import StreamMessage
 from repro.stream.queues import BoundedQueue, OverflowPolicy, QueueClosed
 
-#: Per-shard queue depth (set on every put/get when metrics are on).
+#: Classification queue depth (set on every put when metrics are on).
 QUEUE_DEPTH_METRIC = "vprofile_stream_queue_depth"
 #: Messages dropped by queue overflow policies.
 DROPPED_METRIC = "vprofile_stream_dropped_total"
@@ -50,7 +51,6 @@ class StreamVerdict:
     seq: int
     message: StreamMessage
     result: DetectionResult
-    worker: int
 
     @property
     def is_anomaly(self) -> bool:
@@ -63,7 +63,7 @@ def result_from_batch(
     """Rebuild the single-message :class:`DetectionResult` shape.
 
     Mirrors ``Detector._classify``'s reason precedence so a verdict from
-    any batched consumer (the sharded worker pool here, the fleet
+    any batched consumer (the worker pool here, the fleet
     gateway's per-tenant engines) is indistinguishable from one produced
     by ``VProfilePipeline.process``.
     """
@@ -99,33 +99,32 @@ def result_from_batch(
 
 
 class ShardedWorkerPool:
-    """N classification workers behind N bounded shard queues.
+    """One classification worker behind one bounded queue.
+
+    One worker, not N, for the reason in the module docstring; the class
+    name is kept because callers import it.
 
     Parameters
     ----------
     detector:
         The shared trained detector (read-mostly).
-    n_workers:
-        Worker/shard count; identity ``SA % n_workers`` picks the shard.
     queue_capacity / policy:
-        Per-shard queue bound and overflow behaviour.
+        Queue bound and overflow behaviour.
     batch_size:
         Max feature vectors classified per vectorised detector call.
     updater:
         Optional Algorithm 4 online updater; OK verdicts are folded into
         the shared model under the pool's update lock.
     on_result:
-        Callback invoked from worker threads for every verdict.
+        Callback invoked from the worker thread for every verdict.
     recorder:
-        Optional flight recorder; every verdict is appended to its
-        shard's ring from the worker thread that produced it, so the
-        pre-alert context window never crosses shard locks.
+        Optional flight recorder; every verdict is appended to its ring
+        from the worker thread.
     """
 
     def __init__(
         self,
         detector: Detector,
-        n_workers: int = 1,
         *,
         queue_capacity: int = 256,
         policy: OverflowPolicy | str = OverflowPolicy.BLOCK,
@@ -134,65 +133,52 @@ class ShardedWorkerPool:
         on_result: Callable[[StreamVerdict], None] | None = None,
         recorder: FlightRecorder | None = None,
     ):
-        if n_workers < 1:
-            raise StreamError(f"n_workers must be >= 1, got {n_workers}")
         if batch_size < 1:
             raise StreamError(f"batch_size must be >= 1, got {batch_size}")
         self.detector = detector
-        self.n_workers = int(n_workers)
         self.batch_size = int(batch_size)
         self.updater = updater
         self.on_result = on_result
         self.recorder = recorder
-        self.queues: list[BoundedQueue[tuple[int, StreamMessage, float]]] = [
-            BoundedQueue(queue_capacity, policy, name=f"shard{i}")
-            for i in range(self.n_workers)
-        ]
+        self.queue: BoundedQueue[tuple[int, StreamMessage, float]] = BoundedQueue(
+            queue_capacity, policy, name="classify"
+        )
         self.updated = 0
         self._update_lock = threading.Lock()
         self._idle = threading.Condition()
-        self._inflight = [0] * self.n_workers
+        self._inflight = 0
         self._failure: BaseException | None = None
         self._registry = get_registry()
-        self._threads = [
-            threading.Thread(
-                target=self._worker, args=(i,), name=f"vprofile-shard{i}", daemon=True
-            )
-            for i in range(self.n_workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(
+            target=self._worker, name="vprofile-classify", daemon=True
+        )
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def shard_of(self, message: StreamMessage) -> int:
-        return message.edge_set.identity % self.n_workers
-
     def submit(self, seq: int, message: StreamMessage) -> bool:
         """Enqueue one message; False when the overflow policy dropped it.
 
-        Blocks under the ``BLOCK`` policy when the target shard is full —
-        that is the backpressure reaching the ingestion stage.
+        Blocks under the ``BLOCK`` policy when the queue is full — that
+        is the backpressure reaching the ingestion stage.  A worker that
+        fails closes the queue, so a producer blocked here wakes up and
+        gets the failure instead of waiting forever.
         """
         if self._failure is not None:
             raise StreamError("worker pool failed") from self._failure
-        shard = self.shard_of(message)
-        queue = self.queues[shard]
         ingest_t = monotonic() if self._registry.enabled else 0.0
-        accepted = queue.put((seq, message, ingest_t))
+        try:
+            accepted = self.queue.put((seq, message, ingest_t))
+        except QueueClosed as exc:
+            raise StreamError("worker pool failed") from (self._failure or exc)
         if self._registry.enabled:
-            label = str(shard)
             self._registry.gauge(
-                QUEUE_DEPTH_METRIC,
-                help="Messages waiting in a shard queue",
-                shard=label,
-            ).set(queue.depth)
+                QUEUE_DEPTH_METRIC, help="Messages waiting in the classification queue"
+            ).set(self.queue.depth)
             if not accepted:
                 self._registry.counter(
-                    DROPPED_METRIC,
-                    help="Messages dropped by queue overflow policies",
-                    shard=label,
+                    DROPPED_METRIC, help="Messages dropped by queue overflow policies"
                 ).inc()
         return accepted
 
@@ -202,7 +188,7 @@ class ShardedWorkerPool:
     def drain(self) -> None:
         """Block until every accepted message has been classified."""
         with self._idle:
-            while any(q.depth for q in self.queues) or any(self._inflight):
+            while self.queue.depth or self._inflight:
                 if self._failure is not None:
                     raise StreamError("worker pool failed") from self._failure
                 self._idle.wait(0.05)
@@ -210,47 +196,46 @@ class ShardedWorkerPool:
             raise StreamError("worker pool failed") from self._failure
 
     def close(self) -> None:
-        """Signal end-of-stream and join the workers."""
-        for queue in self.queues:
-            queue.close()
-        for thread in self._threads:
-            thread.join()
+        """Signal end-of-stream and join the worker."""
+        self.queue.close()
+        self._thread.join()
         if self._failure is not None:
             raise StreamError("worker pool failed") from self._failure
 
     @property
     def dropped(self) -> int:
-        return sum(q.dropped for q in self.queues)
+        return self.queue.dropped
 
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _worker(self, index: int) -> None:
-        queue = self.queues[index]
-
+    def _worker(self) -> None:
         def mark_inflight(n: int) -> None:
             # Runs under the queue lock: the dequeue and the in-flight
             # count change atomically from drain()'s point of view.
-            self._inflight[index] = n
+            self._inflight = n
 
         try:
             while True:
                 try:
-                    batch = queue.get_batch(self.batch_size, on_batch=mark_inflight)
+                    batch = self.queue.get_batch(
+                        self.batch_size, on_batch=mark_inflight
+                    )
                 except QueueClosed:
                     return
                 try:
-                    self._classify_batch(index, batch)
+                    self._classify_batch(batch)
                 finally:
-                    self._inflight[index] = 0
+                    self._inflight = 0
                     with self._idle:
                         self._idle.notify_all()
         except BaseException as exc:  # surface, don't die silently
             self._failure = exc
+            self.queue.close()
             with self._idle:
                 self._idle.notify_all()
 
-    def _classify_batch(self, index: int, batch: list) -> None:
+    def _classify_batch(self, batch: list) -> None:
         vectors = np.stack([item[1].edge_set.vector for item in batch])
         sas = np.array(
             [item[1].edge_set.source_address for item in batch], dtype=np.int64
@@ -262,9 +247,8 @@ class ShardedWorkerPool:
             if not result.is_anomaly and self.updater is not None:
                 with self._update_lock:
                     report = self.updater.update([message.edge_set])
-                    # The tally must share the update's critical section:
-                    # a bare `self.updated += n` after the lock is a lost-
-                    # update race between shards (found by VPL301).
+                    # Tally inside the critical section: VPL301 flags
+                    # writes to lock-guarded state made outside it.
                     folded = sum(report.updated.values())
                     if folded:
                         self.updated += folded
@@ -276,18 +260,13 @@ class ShardedWorkerPool:
             if self.recorder is not None:
                 self.recorder.record(
                     seq,
-                    index,
                     int(sas[row]),
                     message.start_s,
                     message.edge_set.vector,
                     result,
                 )
             if self.on_result is not None:
-                self.on_result(
-                    StreamVerdict(
-                        seq=seq, message=message, result=result, worker=index
-                    )
-                )
+                self.on_result(StreamVerdict(seq=seq, message=message, result=result))
 
     def _result_from_batch(
         self, detection: BatchDetection, row: int, sa: int

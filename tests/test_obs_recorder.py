@@ -56,33 +56,25 @@ def bad_vector(dim=4):
     return np.full(dim, 100.0)
 
 
-def feed(recorder, detector, model, seqs, *, anomaly_at=(), shard=0):
+def feed(recorder, detector, model, seqs, *, anomaly_at=()):
     """Classify and record a run of messages; return dump paths."""
     paths = []
     for seq in seqs:
         vector = bad_vector() if seq in anomaly_at else ok_vector(model)
         result = detector.classify(vector, sa=0x10)
-        path = recorder.record(seq, shard, 0x10, float(seq) * 1e-3, vector, result)
+        path = recorder.record(seq, 0x10, float(seq) * 1e-3, vector, result)
         if path is not None:
             paths.append(path)
     return paths
 
 
 class TestRingBounds:
-    def test_ring_is_bounded_per_shard(self, tmp_path, detector, model):
+    def test_ring_is_bounded(self, tmp_path, detector, model):
         recorder = FlightRecorder(tmp_path, capacity=8, model=model)
         feed(recorder, detector, model, range(100))
         assert len(recorder) == 8
 
-    def test_shards_are_independent(self, tmp_path, detector, model):
-        recorder = FlightRecorder(tmp_path, n_shards=2, capacity=4, model=model)
-        feed(recorder, detector, model, range(10), shard=0)
-        feed(recorder, detector, model, range(10, 13), shard=1)
-        assert len(recorder) == 4 + 3
-
     def test_validation(self, tmp_path):
-        with pytest.raises(ObservabilityError):
-            FlightRecorder(tmp_path, n_shards=0)
         with pytest.raises(ObservabilityError):
             FlightRecorder(tmp_path, capacity=0)
         with pytest.raises(ObservabilityError):
@@ -217,7 +209,7 @@ class TestReplay:
         vectors.append(bad_vector())
         for seq, vector in enumerate(vectors):
             result = detector.classify(vector, sa=0x10)
-            path = recorder.record(seq, 0, 0x10, 0.0, vector, result)
+            path = recorder.record(seq, 0x10, 0.0, vector, result)
         bundle = ForensicsBundle.load(path)
         assert bundle.vectors.dtype == np.float64
         np.testing.assert_array_equal(bundle.vectors, np.stack(vectors))

@@ -41,7 +41,7 @@ class TestStreamCommand:
     def test_replay_with_hijack_emits_alerts(self, archive_path, model_path, capsys):
         assert main([
             "stream", "--vehicle", "sterling", "--model", str(model_path),
-            "--input", str(archive_path), "--workers", "2",
+            "--input", str(archive_path),
             "--hijack", "0.4", "--margin", "50",
         ]) == 0
         out = capsys.readouterr().out

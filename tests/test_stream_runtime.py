@@ -1,14 +1,17 @@
-"""The streaming supervisor: verdict parity, workers, checkpoint/resume."""
+"""The streaming supervisor: verdict parity, the worker, checkpoint/resume."""
 
 from __future__ import annotations
 
 import itertools
+import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.acquisition.segmentation import assemble_stream, segment_capture
-from repro.core.edge_extraction import extract_many
+from repro.core.edge_extraction import ExtractedEdgeSet, extract_many
 from repro.core.pipeline import VProfilePipeline
 from repro.errors import StreamError
 from repro.stream import (
@@ -21,6 +24,8 @@ from repro.stream import (
     StreamRuntime,
     load_checkpoint,
 )
+from repro.stream.extractor import StreamMessage
+from repro.stream.workers import ShardedWorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -53,21 +58,9 @@ class TestVerdictParity:
         for verdict, edge_set in zip(report.verdicts, edge_sets):
             assert verdict.result == pipeline.detector.classify(edge_set)
 
-    def test_worker_count_is_invisible(self, stream_pipeline, stream):
-        reports = [
-            stream_pipeline().stream(
-                ReplaySource(stream, 4096), StreamConfig(n_workers=n)
-            )
-            for n in (1, 4)
-        ]
-        assert reports[0].messages == reports[1].messages > 0
-        for one, four in zip(reports[0].verdicts, reports[1].verdicts):
-            assert one.seq == four.seq
-            assert one.result == four.result
-
     def test_verdicts_sorted_by_seq(self, stream_pipeline, stream):
         report = stream_pipeline().stream(
-            ReplaySource(stream, 4096), StreamConfig(n_workers=4, batch_size=4)
+            ReplaySource(stream, 4096), StreamConfig(batch_size=4)
         )
         assert [v.seq for v in report.verdicts] == list(range(report.messages))
 
@@ -93,7 +86,6 @@ class TestHijackInjection:
 class TestBackpressure:
     def test_drop_newest_loses_messages(self, stream_pipeline, stream):
         config = StreamConfig(
-            n_workers=1,
             queue_capacity=1,
             policy=OverflowPolicy.DROP_NEWEST,
             batch_size=1,
@@ -104,7 +96,7 @@ class TestBackpressure:
         assert report.messages == clean.messages - report.dropped
 
     def test_block_policy_is_lossless(self, stream_pipeline, stream):
-        config = StreamConfig(n_workers=1, queue_capacity=1, batch_size=1)
+        config = StreamConfig(queue_capacity=1, batch_size=1)
         report = stream_pipeline().stream(ReplaySource(stream, len(stream)), config)
         assert report.dropped == 0
 
@@ -113,7 +105,7 @@ class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(
         self, stream_pipeline, stream, tmp_path
     ):
-        config = dict(n_workers=2, hijack_probability=0.3, hijack_seed=9)
+        config = dict(hijack_probability=0.3, hijack_seed=9)
         full = stream_pipeline().stream(
             ReplaySource(stream, 4096), StreamConfig(**config)
         )
@@ -180,7 +172,48 @@ class TestRuntimeContract:
         finally:
             obs.set_registry(previous)
         assert registry.get(CHUNKS_METRIC).value > 0
-        assert registry.get(QUEUE_DEPTH_METRIC, shard="0") is not None
+        assert registry.get(QUEUE_DEPTH_METRIC) is not None
         latency = registry.get(LATENCY_METRIC)
         assert latency is not None and latency.count > 0
         assert registry.get("vprofile_messages_total").value > 0
+
+
+class _FailingDetector:
+    """Classifies nothing: every batch stalls, then raises."""
+
+    margin = 0.0
+
+    def classify_batch(self, vectors, sas):
+        time.sleep(0.5)
+        raise RuntimeError("classify failed")
+
+
+class TestWorkerFailure:
+    def test_blocked_producer_gets_the_failure(self):
+        pool = ShardedWorkerPool(_FailingDetector(), queue_capacity=2, batch_size=1)
+        message = StreamMessage(
+            edge_set=ExtractedEdgeSet(
+                source_address=0x10, vector=np.zeros(4), metadata={}
+            ),
+            start_s=0.0,
+            index=0,
+        )
+        outcome: list[BaseException | None] = []
+
+        def produce():
+            try:
+                for seq in range(10):
+                    pool.submit(seq, message)
+            except BaseException as exc:
+                outcome.append(exc)
+            else:
+                outcome.append(None)
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        producer.join(10)
+        assert not producer.is_alive(), "producer hung on a dead worker"
+        assert isinstance(outcome[0], StreamError)
+        assert isinstance(outcome[0].__cause__, RuntimeError)
+        with pytest.raises(StreamError):
+            pool.close()
