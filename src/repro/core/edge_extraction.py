@@ -252,19 +252,24 @@ def _extract_edge_set_vector(
     backward scan over recessive samples use; for every other trace the
     two indexes are the same object.
     """
-    samples = np.asarray(trace.counts, dtype=float)
+    # No float copy of the whole trace: comparing against a float64
+    # threshold casts each sample exactly as a float64 copy would, and
+    # the edge windows are converted on their own.
+    samples = np.asarray(trace.counts)
     n_values = samples.size
-    threshold = config.threshold
+    threshold = np.float64(config.threshold)
     bit_width = config.bit_width
     half_bit = bit_width / 2.0
     id_last_bit = config.frame_format.id_last_bit
     first_stable_bit = config.frame_format.first_stable_bit
 
-    above_arr = samples >= threshold
-    if not above_arr.any():
+    above, edges = _edge_index(samples >= threshold)
+    if above[:1] == b"\x01":
+        sof = 0
+    elif edges:
+        sof = edges[0]  # the first run is recessive, so its end is the SOF
+    else:
         raise ExtractionError("no start-of-frame found (trace never dominant)")
-    sof = int(above_arr.argmax())
-    above, edges = _edge_index(above_arr)
     if trace.counts.dtype.kind == "f" and np.isnan(samples).any():
         stop, stop_edges = _edge_index(~(samples < threshold))
     else:

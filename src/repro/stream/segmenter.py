@@ -78,17 +78,43 @@ class StreamingSegmenter:
     # ------------------------------------------------------------------
     def push(self, chunk: SampleChunk) -> list[VoltageTrace]:
         """Consume one chunk; return every message completed by it."""
-        self._adopt_params(chunk)
+        # Validate before touching any state: a rejected chunk must leave
+        # the segmenter ready for a corrected chunk with the same seq.
+        samples = np.asarray(chunk.counts)
+        if samples.ndim != 1:
+            raise StreamError("chunk counts must be a 1-D sample vector")
         if chunk.seq != self._next_seq:
             raise StreamError(
                 f"chunk {chunk.seq} arrived but chunk {self._next_seq} was "
                 "expected; chunks must be contiguous and in order"
             )
+        self._adopt_params(chunk)
         self._next_seq += 1
-        samples = np.asarray(chunk.counts)
-        if samples.ndim != 1:
-            raise StreamError("chunk counts must be a 1-D sample vector")
         if samples.size == 0:
+            return []
+
+        config = self.config
+        assert config is not None
+        if (
+            self._burst_start is None
+            and not self._pending
+            and samples.max() < config.threshold
+        ):
+            # Idle bus with nothing open: the chunk can neither open,
+            # extend nor close a message.  One reduction decides that,
+            # where the full path below makes four passes over the chunk,
+            # each a GIL release the classification worker can grab.
+            # Keep the padding tail ``_trim`` would (same values, same
+            # dtype promotion), copied so the chunk itself is not pinned.
+            self._total += samples.size
+            tail = samples[max(samples.size - self._padding, 0):]
+            if self._buffer.size and (
+                tail.size < self._padding or self._buffer.dtype != tail.dtype
+            ):
+                tail = np.concatenate([self._buffer, tail])
+                tail = tail[max(tail.size - self._padding, 0):]
+            self._buffer = tail.copy()
+            self._offset = self._total - self._buffer.size
             return []
 
         base = self._total
@@ -99,15 +125,23 @@ class StreamingSegmenter:
             self._offset = base
         self._total = base + samples.size
 
-        config = self.config
-        assert config is not None
-        dominant = np.nonzero(samples >= config.threshold)[0]
-        if dominant.size:
-            dom = dominant + base
-            gaps = np.diff(dom)
-            cuts = np.nonzero(gaps > self._min_idle)[0]
-            starts = np.concatenate([dom[:1], dom[cuts + 1]])
-            ends = np.concatenate([dom[cuts], dom[-1:]])
+        # Dominant runs from the polarity flips: three passes over the
+        # chunk, then only run-sized arrays.  Two dominant samples are
+        # more than the idle window apart only across a recessive run, so
+        # grouping runs groups samples -- unless the window is zero
+        # samples wide, when every dominant sample stands alone.
+        above = samples >= config.threshold
+        flips = np.flatnonzero(above[1:] != above[:-1]) + 1
+        bounds = np.concatenate(([0], flips, [samples.size]))
+        first = 0 if above[0] else 1
+        run_starts = bounds[first:-1:2]
+        run_ends = bounds[first + 1 :: 2] - 1
+        if self._min_idle < 1:
+            run_starts = run_ends = np.flatnonzero(above)
+        if run_starts.size:
+            cuts = np.flatnonzero(run_starts[1:] - run_ends[:-1] > self._min_idle)
+            starts = np.concatenate([run_starts[:1], run_starts[cuts + 1]]) + base
+            ends = np.concatenate([run_ends[cuts], run_ends[-1:]]) + base
             if self._burst_start is not None:
                 if starts[0] - self._last_dominant > self._min_idle:
                     self._close(self._burst_start, self._last_dominant)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.detection import AnomalyReason, Detector, Verdict
-from repro.core.model import Metric
+from repro.core.distances import mahalanobis_distances
+from repro.core.model import ClusterProfile, Metric, VProfileModel
 from repro.core.training import TrainingData, train_model
 from repro.errors import DetectionError
 
@@ -99,3 +102,39 @@ class TestBatch:
             np.array([[0.0, 0, 0], [8.0, 8, 8]]), np.array([1, 2])
         )
         assert not batch.anomalies().any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    k=st.integers(1, 8),
+    d=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distance_matrix_is_bitwise_the_per_cluster_loop(n, k, d, seed):
+    """The distance matrix equals, bit for bit, a loop of
+    ``mahalanobis_distances`` over the clusters, so batch, stream and
+    fleet verdicts match the single-message path exactly.  One stacked
+    ``einsum`` over all clusters would not: at d = 2 NumPy sums the
+    quadratic form in another order and the last bit differs."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    clusters = []
+    for index in range(k):
+        factor = rng.normal(size=(d, d))
+        clusters.append(
+            ClusterProfile(
+                name=f"c{index}",
+                mean=rng.normal(size=d) * scale,
+                max_distance=1.0,
+                count=10,
+                inv_covariance=factor @ factor.T / d,
+            )
+        )
+    model = VProfileModel(Metric.MAHALANOBIS, clusters)
+    vectors = rng.normal(size=(n, d)) * scale
+    expected = np.stack(
+        [mahalanobis_distances(vectors, c.mean, c.inv_covariance) for c in clusters],
+        axis=1,
+    )
+    assert np.array_equal(Detector(model)._distances_to_clusters(vectors), expected)

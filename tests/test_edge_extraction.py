@@ -1,5 +1,7 @@
 """Algorithm 1: edge-set extraction and SA decoding from waveforms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.edge_extraction import (
     get_bit_value,
 )
 from repro.errors import ExtractionError
+from tests import extraction_oracle as oracle
 
 TRX = TransceiverParams(
     name="E",
@@ -166,6 +169,49 @@ class TestExtraction:
         )
         with pytest.raises(ExtractionError):
             extract_edge_set(trace, ExtractionConfig.for_trace(trace))
+
+    def test_empty_trace_raises(self):
+        trace = VoltageTrace(
+            counts=np.zeros(0, dtype=np.int32), sample_rate=10e6, resolution_bits=16
+        )
+        with pytest.raises(ExtractionError, match="never dominant"):
+            extract_edge_set(trace, ExtractionConfig.for_trace(trace))
+
+    @pytest.mark.parametrize("dtype", ["uint16", "int32", "int64", "float32", "float64"])
+    def test_sample_dtype_does_not_change_the_edge_set(self, dtype):
+        """Thresholds and windows see each sample as its float64 value."""
+        trace = capture(j1939_frame(0x10))
+        config = ExtractionConfig.for_trace(trace)
+        reference = extract_edge_set(replace(trace, counts=trace.counts.astype(float)), config)
+        result = extract_edge_set(replace(trace, counts=trace.counts.astype(dtype)), config)
+        assert result.source_address == reference.source_address
+        assert result.vector.dtype == reference.vector.dtype
+        assert np.array_equal(result.vector, reference.vector)
+
+    def test_float32_samples_compare_as_float64(self):
+        """A float32 sample that rounds the threshold down is still below
+        it: samples are compared at float64 precision, as if converted."""
+        trace = VoltageTrace(
+            counts=np.zeros(4000, dtype=np.float32), sample_rate=10e6, resolution_bits=16
+        )
+        config = ExtractionConfig.for_trace(trace).with_threshold(1000.00001)
+        near = np.float32(config.threshold)
+        assert float(near) < config.threshold
+        trace.counts[100:400] = near
+        with pytest.raises(ExtractionError, match="never dominant"):
+            extract_edge_set(trace, config)
+
+    def test_trace_starting_dominant_matches_scalar_walker(self):
+        """The SOF can be the very first sample."""
+        trace = capture(j1939_frame(0x10))
+        config = ExtractionConfig.for_trace(trace)
+        sof = int(np.argmax(trace.counts >= config.threshold))
+        assert sof > 0
+        clipped = replace(trace, counts=trace.counts[sof:])
+        expected = oracle.extract_edge_set(clipped, config)
+        result = extract_edge_set(clipped, config)
+        assert result.source_address == expected.source_address
+        assert np.array_equal(result.vector, expected.vector)
 
     def test_extract_many_shares_config(self):
         traces = [capture(j1939_frame(0x10), seed=s) for s in range(5)]
