@@ -1,4 +1,4 @@
-"""Intrusion detection — Algorithm 3 of the paper.
+"""Intrusion detection — Algorithm 3 of the paper, and the online kernel.
 
 Given an edge set and its claimed source address:
 
@@ -12,18 +12,24 @@ Given an edge set and its claimed source address:
 
 For anomalies from trained ECUs, the predicted cluster names the attack
 origin (Section 3.2.3).
+
+:meth:`Detector.classify_and_update` is the one online kernel: Algorithm
+3 and then Algorithm 4 (:mod:`repro.core.online_update`) per message, in
+order.  It holds the only copy of the reason rule above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.distances import euclidean_distances, mahalanobis_distances
 from repro.core.edge_extraction import ExtractedEdgeSet
-from repro.core.model import Metric, VProfileModel
+from repro.core.model import ClusterProfile, Metric, VProfileModel
+from repro.core.online_update import OnlineUpdater
 from repro.errors import DetectionError
 from repro.obs.spans import stage_timer
 
@@ -84,7 +90,7 @@ class DetectionResult:
 
 
 class Detector:
-    """Algorithm 3 with a fixed model and margin.
+    """Algorithm 3 with a fixed margin, plus the online Algorithm 3→4 kernel.
 
     Parameters
     ----------
@@ -103,67 +109,92 @@ class Detector:
         self.model = model
         self.margin = float(margin)
 
-    # ------------------------------------------------------------------
-    # Single-message path (Algorithm 3 verbatim)
-    # ------------------------------------------------------------------
     def classify(self, edge_set: ExtractedEdgeSet | np.ndarray, sa: int | None = None) -> DetectionResult:
-        """Classify one message.
+        """Classify one message: a 1-row :meth:`classify_and_update`.
 
         ``edge_set`` may be an extraction result (which carries its own
         SA) or a raw vector with ``sa`` supplied explicitly.
-
-        Observability: each call times into
-        ``vprofile_stage_seconds{stage="classify"}`` when a metrics
-        registry is enabled.
         """
-        with stage_timer("classify"):
-            return self._classify(edge_set, sa)
-
-    def _classify(self, edge_set: ExtractedEdgeSet | np.ndarray, sa: int | None = None) -> DetectionResult:
         if isinstance(edge_set, ExtractedEdgeSet):
             vector = edge_set.vector
             sa = edge_set.source_address if sa is None else sa
         else:
-            vector = np.asarray(edge_set, dtype=float)
+            vector = edge_set
             if sa is None:
                 raise DetectionError("raw vectors need an explicit SA")
+        results, _ = self.classify_and_update([vector], [sa])
+        return results[0]
 
-        expected = self.model.cluster_of_sa(sa)
-        if expected is None:
-            return DetectionResult(
-                verdict=Verdict.ANOMALY,
-                reason=AnomalyReason.UNKNOWN_SA,
-                source_address=sa,
-                expected_cluster=None,
-                predicted_cluster=None,
-                min_distance=None,
-                slack=None,
+    def classify_and_update(
+        self,
+        vectors: np.ndarray | Sequence[np.ndarray],
+        sas: Sequence[int] | np.ndarray,
+        updater: OnlineUpdater | None = None,
+    ) -> tuple[list[DetectionResult], int]:
+        """Algorithm 3, then Algorithm 4, once per message, in order.
+
+        The one online kernel, shared by every entry point.  Row ``i``
+        is decided against the model as updated by rows ``0..i-1``, as
+        if the messages came one at a time.  Distances come from one
+        :meth:`classify_batch` call; after each edge set ``updater``
+        folds into cluster ``c``, column ``c`` of the remaining rows is
+        recomputed.  Returns the verdicts and the number of edge sets
+        folded in.  Raises :class:`DetectionError` for a vector of the
+        wrong dimension or with non-finite values.
+        """
+        detection = self.classify_batch(vectors, sas)
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+        distances = detection.distances
+        assert distances is not None
+        clusters = self.model.clusters
+        results: list[DetectionResult] = []
+        folded = 0
+        for row, expected in enumerate(detection.expected_cluster.tolist()):
+            sa = int(sas[row])
+            if expected < 0:
+                results.append(
+                    DetectionResult(
+                        verdict=Verdict.ANOMALY,
+                        reason=AnomalyReason.UNKNOWN_SA,
+                        source_address=sa,
+                        expected_cluster=None,
+                        predicted_cluster=None,
+                        min_distance=None,
+                        slack=None,
+                    )
+                )
+                continue
+            predicted = int(distances[row].argmin())
+            min_distance = float(distances[row, predicted])
+            slack = min_distance - float(clusters[predicted].max_distance)
+            if predicted != expected:
+                reason: AnomalyReason | None = AnomalyReason.CLUSTER_MISMATCH
+            elif slack > self.margin:
+                reason = AnomalyReason.DISTANCE_EXCEEDED
+            else:
+                reason = None
+            results.append(
+                DetectionResult(
+                    verdict=Verdict.ANOMALY if reason else Verdict.OK,
+                    reason=reason,
+                    source_address=sa,
+                    expected_cluster=expected,
+                    predicted_cluster=predicted,
+                    min_distance=min_distance,
+                    slack=slack,
+                )
             )
-        distances = self._distances_to_clusters(vector[np.newaxis, :])[0]
-        predicted = int(np.argmin(distances))
-        min_distance = float(distances[predicted])
-        slack = min_distance - float(self.model.clusters[predicted].max_distance)
-        if predicted != expected:
-            reason: AnomalyReason | None = AnomalyReason.CLUSTER_MISMATCH
-        elif slack > self.margin:
-            reason = AnomalyReason.DISTANCE_EXCEEDED
-        else:
-            reason = None
-        return DetectionResult(
-            verdict=Verdict.ANOMALY if reason else Verdict.OK,
-            reason=reason,
-            source_address=sa,
-            expected_cluster=expected,
-            predicted_cluster=predicted,
-            min_distance=min_distance,
-            slack=slack,
-        )
+            if reason is None and updater is not None:
+                report = updater.update([ExtractedEdgeSet(sa, vectors[row], {})])
+                if report.updated:
+                    folded += 1
+                    distances[row + 1 :, expected] = self._distances_to_cluster(
+                        vectors[row + 1 :], clusters[expected]
+                    )
+        return results, folded
 
-    # ------------------------------------------------------------------
-    # Batch path (vectorised; used by the evaluation harness)
-    # ------------------------------------------------------------------
-    def classify_batch(self, vectors: np.ndarray, sas: np.ndarray) -> "BatchDetection":
-        """Classify many messages at once.
+    def classify_batch(self, vectors: np.ndarray, sas: Sequence[int] | np.ndarray) -> "BatchDetection":
+        """Classify many messages at once against the current model.
 
         Returns a :class:`BatchDetection` with per-message verdict
         ingredients, from which anomaly flags for *any* margin can be
@@ -176,11 +207,18 @@ class Detector:
         with stage_timer("classify"):
             return self._classify_batch(vectors, sas)
 
-    def _classify_batch(self, vectors: np.ndarray, sas: np.ndarray) -> "BatchDetection":
+    def _classify_batch(self, vectors: np.ndarray, sas: Sequence[int] | np.ndarray) -> "BatchDetection":
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
         sas = np.asarray(sas, dtype=np.int64)
+        if vectors.ndim != 2 or vectors.shape[1] != self.model.dim:
+            raise DetectionError(
+                f"edge sets have shape {vectors.shape}, the model expects "
+                f"(n, {self.model.dim})"
+            )
         if vectors.shape[0] != sas.shape[0]:
             raise DetectionError("vectors and SAs disagree in length")
+        if not np.isfinite(vectors).all():
+            raise DetectionError("edge sets contain non-finite values")
         distances = self._distances_to_clusters(vectors)
         predicted = np.argmin(distances, axis=1)
         min_distance = distances[np.arange(distances.shape[0]), predicted]
@@ -194,22 +232,23 @@ class Detector:
             min_distance=min_distance,
             slack=min_distance - thresholds,
             margin=self.margin,
+            distances=distances,
         )
 
     def _distances_to_clusters(self, vectors: np.ndarray) -> np.ndarray:
         """Distance matrix (n, k) from each vector to each cluster."""
-        model = self.model
-        n = vectors.shape[0]
-        distances = np.empty((n, model.n_clusters))
-        if model.metric is Metric.MAHALANOBIS:
-            for index, cluster in enumerate(model.clusters):
-                distances[:, index] = mahalanobis_distances(
-                    vectors, cluster.mean, cluster.inv_covariance
-                )
-        else:
-            for index, cluster in enumerate(model.clusters):
-                distances[:, index] = euclidean_distances(vectors, cluster.mean)
+        distances = np.empty((vectors.shape[0], self.model.n_clusters))
+        for index, cluster in enumerate(self.model.clusters):
+            distances[:, index] = self._distances_to_cluster(vectors, cluster)
         return distances
+
+    def _distances_to_cluster(
+        self, vectors: np.ndarray, cluster: ClusterProfile
+    ) -> np.ndarray:
+        """Distances (n,) from each vector to one cluster."""
+        if self.model.metric is Metric.MAHALANOBIS:
+            return mahalanobis_distances(vectors, cluster.mean, cluster.inv_covariance)
+        return euclidean_distances(vectors, cluster.mean)
 
 
 @dataclass(frozen=True)
@@ -226,6 +265,8 @@ class BatchDetection:
     min_distance: np.ndarray  # (n,)
     slack: np.ndarray  # (n,)
     margin: float
+    #: Message-to-cluster distances (n, k); set by ``classify_batch``.
+    distances: np.ndarray | None = None
 
     def anomalies(self, margin: float | None = None) -> np.ndarray:
         """Boolean anomaly flags at ``margin`` (default: detector margin)."""

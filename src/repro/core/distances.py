@@ -85,9 +85,13 @@ def mahalanobis_distance(x: np.ndarray, mean: np.ndarray, inv_cov: np.ndarray) -
 
 
 def mahalanobis_distances(points: np.ndarray, mean: np.ndarray, inv_cov: np.ndarray) -> np.ndarray:
-    """Row-wise Mahalanobis distances from ``points`` (n, d) to a cluster."""
+    """Row-wise Mahalanobis distances from ``points`` (n, d) to a cluster.
+
+    Each row is bitwise the same whatever the other rows; a 3-operand
+    ``einsum`` is not (at d = 2 its summation order depends on n).
+    """
     diffs = np.asarray(points, dtype=float) - np.asarray(mean, dtype=float)
-    values = np.einsum("ij,jk,ik->i", diffs, inv_cov, diffs)
+    values = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", diffs, inv_cov), diffs)
     return np.sqrt(np.maximum(values, 0.0))
 
 

@@ -131,6 +131,9 @@ class OnlineUpdater:
             raise TrainingError(
                 f"edge set has shape {x.shape}, model expects {cluster.mean.shape}"
             )
+        if not np.isfinite(x).all():
+            # One NaN folded in would poison the cluster for good.
+            raise TrainingError("edge set contains non-finite values")
         prev_count = cluster.count
         prev_mean = cluster.mean
         new_count = prev_count + 1

@@ -12,9 +12,9 @@ want a ready-made IDS component:
 Observability: when a metrics registry is enabled (:mod:`repro.obs`),
 the pipeline exports message/anomaly/update counters and the per-stage
 latency histograms recorded inside ``extract_edge_set`` /
-``Detector.classify`` / ``OnlineUpdater.update``, and emits structured
-events for training runs and anomalies.  With observability disabled
-(the default) every handle is a stateless no-op singleton, so
+``Detector.classify_batch`` / ``OnlineUpdater.update``, and emits
+structured events for training runs and anomalies.  With observability
+disabled (the default) every handle is a stateless no-op singleton, so
 :meth:`VProfilePipeline.process` pays one global read and an identity
 check per message — nothing else.
 """
@@ -232,7 +232,9 @@ class VProfilePipeline:
         if registry is not self._obs_registry:
             self._bind_obs(registry)
         edge_set = extract_edge_set(trace, self.extraction)
-        result = self._detector.classify(edge_set)
+        [result], folded = self._detector.classify_and_update(
+            [edge_set.vector], [edge_set.source_address], self._updater
+        )
         if self.health is not None:
             self.health.record_verdict(result.source_address, result.is_anomaly)
         stats = self.stats
@@ -250,12 +252,9 @@ class VProfilePipeline:
                 min_distance=result.min_distance,
                 slack=result.slack,
             )
-        elif self._updater is not None:
-            report = self._updater.update([edge_set])
-            folded = sum(report.updated.values())
-            if folded:
-                stats.updated += folded
-                self._m_updated.inc(folded)
+        elif folded:
+            stats.updated += folded
+            self._m_updated.inc(folded)
         return result
 
     def process_stream(

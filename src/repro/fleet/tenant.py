@@ -2,11 +2,11 @@
 
 One :class:`TenantEngine` is the single-vehicle slice of the streaming
 runtime: the same :class:`~repro.stream.extractor.StreamingExtractor`
-carrying Algorithm-1 state across chunk boundaries, the same vectorised
-:class:`~repro.core.detection.Detector` batch path, the same Algorithm-4
-:class:`~repro.core.online_update.OnlineUpdater` folding OK verdicts
-into the tenant's *own* profile store.  Because every piece is the
-``repro.stream`` machinery, a tenant evicted to a
+carrying Algorithm-1 state across chunk boundaries, the same
+:meth:`~repro.core.detection.Detector.classify_and_update` kernel, the
+same Algorithm-4 :class:`~repro.core.online_update.OnlineUpdater`
+folding OK verdicts into the tenant's *own* profile store.  Because
+every piece is the ``repro.stream`` machinery, a tenant evicted to a
 :mod:`repro.stream.checkpoint` directory and rehydrated later produces
 the byte-identical verdict sequence an uninterrupted tenant would —
 the property the fleet supervisor's residency budget leans on.
@@ -38,7 +38,6 @@ from repro.obs.health import ProfileHealthMonitor
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.chunks import SampleChunk
 from repro.stream.extractor import StreamingExtractor
-from repro.stream.workers import result_from_batch
 from repro.vehicles.profiles import VehicleConfig, sterling_acterra, vehicle_a, vehicle_b
 
 #: Built-in synthetic vehicles a tenant may register as.
@@ -266,19 +265,16 @@ class TenantEngine:
         self.samples += len(chunk)
         if not messages:
             return []
-        vectors = np.stack([m.edge_set.vector for m in messages])
-        sas = np.array(
-            [m.edge_set.source_address for m in messages], dtype=np.int64
+        results, folded = self.detector.classify_and_update(
+            np.stack([m.edge_set.vector for m in messages]),
+            [m.edge_set.source_address for m in messages],
+            self.updater,
         )
-        detection = self.detector.classify_batch(vectors, sas)
+        self.updated += folded
         verdicts: list[dict[str, Any]] = []
-        for row, message in enumerate(messages):
-            result = result_from_batch(detection, row, int(sas[row]), self.margin)
+        for message, result in zip(messages, results):
             if self.health is not None:
                 self.health.record_verdict(result.source_address, result.is_anomaly)
-            if not result.is_anomaly and self.updater is not None:
-                report = self.updater.update([message.edge_set])
-                self.updated += sum(report.updated.values())
             verdict = {
                 "seq": self.next_seq,
                 "sa": int(result.source_address),

@@ -61,7 +61,6 @@ from repro.stream.workers import (
     QUEUE_DEPTH_METRIC,
     ShardedWorkerPool,
     StreamVerdict,
-    result_from_batch,
 )
 
 __all__ = [
@@ -94,5 +93,4 @@ __all__ = [
     "QUEUE_DEPTH_METRIC",
     "ShardedWorkerPool",
     "StreamVerdict",
-    "result_from_batch",
 ]

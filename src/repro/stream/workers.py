@@ -1,10 +1,13 @@
 """The classification worker: one thread behind one bounded queue.
 
 Extracted messages go onto a single :class:`BoundedQueue`; one worker
-thread drains it in batches and classifies each batch with the
-vectorised detector path, which is where the streaming runtime's
-throughput headroom comes from.  The queue is FIFO and there is one
-consumer, so verdicts come out in stream sequence order.
+thread drains it in batches and hands each batch to
+:meth:`~repro.core.detection.Detector.classify_and_update`, which
+computes the batch's distances in one vectorised call and then applies
+Algorithm 3 and Algorithm 4 message by message.  The verdicts therefore
+do not depend on where the batch boundaries fall.  The queue is FIFO
+and there is one consumer, so verdicts come out in stream sequence
+order.
 
 There is one worker because more do not pay: on the stream-replay
 workload (Vehicle A, 2 cores) SA-sharded pools of 1/2/4 workers ran at
@@ -21,13 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.detection import (
-    AnomalyReason,
-    BatchDetection,
-    DetectionResult,
-    Detector,
-    Verdict,
-)
+from repro.core.detection import DetectionResult, Detector
 from repro.core.online_update import OnlineUpdater
 from repro.errors import StreamError
 from repro.obs.clock import monotonic
@@ -55,47 +52,6 @@ class StreamVerdict:
     @property
     def is_anomaly(self) -> bool:
         return self.result.is_anomaly
-
-
-def result_from_batch(
-    detection: BatchDetection, row: int, sa: int, margin: float
-) -> DetectionResult:
-    """Rebuild the single-message :class:`DetectionResult` shape.
-
-    Mirrors ``Detector._classify``'s reason precedence so a verdict from
-    any batched consumer (the worker pool here, the fleet
-    gateway's per-tenant engines) is indistinguishable from one produced
-    by ``VProfilePipeline.process``.
-    """
-    expected = int(detection.expected_cluster[row])
-    if expected < 0:
-        return DetectionResult(
-            verdict=Verdict.ANOMALY,
-            reason=AnomalyReason.UNKNOWN_SA,
-            source_address=sa,
-            expected_cluster=None,
-            predicted_cluster=None,
-            min_distance=None,
-            slack=None,
-        )
-    predicted = int(detection.predicted_cluster[row])
-    min_distance = float(detection.min_distance[row])
-    slack = float(detection.slack[row])
-    if predicted != expected:
-        reason: AnomalyReason | None = AnomalyReason.CLUSTER_MISMATCH
-    elif slack > margin:
-        reason = AnomalyReason.DISTANCE_EXCEEDED
-    else:
-        reason = None
-    return DetectionResult(
-        verdict=Verdict.ANOMALY if reason else Verdict.OK,
-        reason=reason,
-        source_address=sa,
-        expected_cluster=expected,
-        predicted_cluster=predicted,
-        min_distance=min_distance,
-        slack=slack,
-    )
 
 
 class ShardedWorkerPool:
@@ -237,21 +193,14 @@ class ShardedWorkerPool:
 
     def _classify_batch(self, batch: list) -> None:
         vectors = np.stack([item[1].edge_set.vector for item in batch])
-        sas = np.array(
-            [item[1].edge_set.source_address for item in batch], dtype=np.int64
-        )
-        detection = self.detector.classify_batch(vectors, sas)
+        sas = [item[1].edge_set.source_address for item in batch]
+        with self._update_lock:
+            results, folded = self.detector.classify_and_update(
+                vectors, sas, self.updater
+            )
+            self.updated += folded  # under the lock: VPL301
         registry = self._registry
-        for row, (seq, message, ingest_t) in enumerate(batch):
-            result = self._result_from_batch(detection, row, int(sas[row]))
-            if not result.is_anomaly and self.updater is not None:
-                with self._update_lock:
-                    report = self.updater.update([message.edge_set])
-                    # Tally inside the critical section: VPL301 flags
-                    # writes to lock-guarded state made outside it.
-                    folded = sum(report.updated.values())
-                    if folded:
-                        self.updated += folded
+        for (seq, message, ingest_t), result in zip(batch, results):
             if registry.enabled and ingest_t:
                 registry.histogram(
                     LATENCY_METRIC,
@@ -260,15 +209,10 @@ class ShardedWorkerPool:
             if self.recorder is not None:
                 self.recorder.record(
                     seq,
-                    int(sas[row]),
+                    result.source_address,
                     message.start_s,
                     message.edge_set.vector,
                     result,
                 )
             if self.on_result is not None:
                 self.on_result(StreamVerdict(seq=seq, message=message, result=result))
-
-    def _result_from_batch(
-        self, detection: BatchDetection, row: int, sa: int
-    ) -> DetectionResult:
-        return result_from_batch(detection, row, sa, self.detector.margin)

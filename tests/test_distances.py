@@ -67,6 +67,28 @@ class TestMahalanobis:
         singles = [mahalanobis_distance(p, mean, inv) for p in points]
         assert np.allclose(batch, singles)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        d=st.integers(2, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_do_not_depend_on_batch_shape(self, n, d, seed):
+        """Row i of an n-row call is bitwise the 1-row call on ``X[i]``
+        and row 0 of the tail call on ``X[i:]``: the online kernel
+        recomputes tails after every update and must match a message
+        classified on its own."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        factor = rng.normal(size=(d, d))
+        inv = factor @ factor.T / d
+        mean = rng.normal(size=d) * scale
+        points = rng.normal(size=(n, d)) * scale
+        full = mahalanobis_distances(points, mean, inv)
+        for i in range(n):
+            assert full[i] == mahalanobis_distances(points[i : i + 1], mean, inv)[0]
+            assert full[i] == mahalanobis_distances(points[i:], mean, inv)[0]
+
     def test_whitened_data_has_unit_scale(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(50_000, 4)) * np.array([1.0, 5.0, 0.1, 2.0])

@@ -99,6 +99,17 @@ class TestUpdate:
         with pytest.raises(TrainingError):
             OnlineUpdater(model).update([edge_set(np.zeros(7), 0x10)])
 
+    def test_non_finite_edge_set_rejected(self, rng):
+        """A NaN folded in would poison the cluster for good."""
+        model, _ = make_model(rng)
+        before = model.clusters[0].mean.copy()
+        vector = np.zeros(4)
+        vector[2] = np.nan
+        with pytest.raises(TrainingError):
+            OnlineUpdater(model).update([edge_set(vector, 0x10)])
+        np.testing.assert_array_equal(model.clusters[0].mean, before)
+        assert model.clusters[0].count == 150
+
     def test_bad_bound(self, rng):
         model, _ = make_model(rng)
         with pytest.raises(TrainingError):

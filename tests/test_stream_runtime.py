@@ -183,7 +183,7 @@ class _FailingDetector:
 
     margin = 0.0
 
-    def classify_batch(self, vectors, sas):
+    def classify_and_update(self, vectors, sas, updater=None):
         time.sleep(0.5)
         raise RuntimeError("classify failed")
 
