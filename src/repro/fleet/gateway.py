@@ -506,7 +506,21 @@ class FleetGateway:
         writer: asyncio.StreamWriter,
     ) -> None:
         while True:
-            opcode, frame = await read_ws_frame(reader)
+            try:
+                opcode, frame = await read_ws_frame(reader)
+            except ProtocolError as exc:
+                # Fail the connection (RFC 6455 §7.4.1): status 1002 and
+                # the error text, cut to fit a control frame.
+                reason = str(exc).encode("ascii", "replace")
+                close = protocol.CLOSE_PROTOCOL_ERROR.to_bytes(2, "big") + reason
+                writer.write(
+                    encode_ws_frame(
+                        close[: protocol.MAX_CONTROL_PAYLOAD],
+                        opcode=protocol.OP_CLOSE,
+                    )
+                )
+                await writer.drain()
+                return
             if opcode == protocol.OP_CLOSE:
                 writer.write(encode_ws_frame(frame, opcode=protocol.OP_CLOSE))
                 await writer.drain()

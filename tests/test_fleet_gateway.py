@@ -7,6 +7,7 @@ byte-identical verdict stream, eviction, drain and restart included.
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -363,6 +364,55 @@ class TestWebSocket:
         reply = asyncio.run(session())
         assert reply["type"] == "error"
         assert "bad frame" in reply["error"]
+
+    @pytest.mark.parametrize(
+        "first_byte, payload, match",
+        [
+            (0x01, b"frag", b"fragmented"),  # FIN=0 text frame
+            (0x80 | OP_PING, b"p" * 126, b"control frame"),
+            (0x80 | 0x40 | OP_TEXT, b"{}", b"reserved bits"),  # RSV1
+        ],
+        ids=["fin0", "oversize-ping", "rsv1"],
+    )
+    def test_ws_protocol_error_closes_with_1002(
+        self, gateway, registry, model_b64, caplog, first_byte, payload, match
+    ):
+        register(gateway, model_b64)
+        frame = bytearray(
+            encode_ws_frame(payload, mask_key=b"\x01\x02\x03\x04")
+        )
+        frame[0] = first_byte
+
+        async def session():
+            reader, writer = await asyncio.open_connection(
+                gateway.host, gateway.port
+            )
+            try:
+                await client_ws_connect(reader, writer, "/tenants/v1/stream")
+                writer.write(bytes(frame))
+                await writer.drain()
+                return await read_ws_frame(reader)
+            finally:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionResetError, BrokenPipeError, OSError):
+                    pass
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            opcode, close = asyncio.run(session())
+            # The session's cleanup runs just after the close frame is
+            # sent; an exception escaping it would be logged then.
+            gauge = registry.get(WS_CONNECTIONS_METRIC)
+            deadline = time.monotonic() + 5.0
+            while gauge.value != 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.05)
+        assert opcode == OP_CLOSE
+        assert close.startswith(b"\x03\xea")  # status 1002
+        assert match in close
+        assert len(close) <= 125
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestObservability:

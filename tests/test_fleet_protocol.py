@@ -2,8 +2,11 @@
 
 import asyncio
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.protocol import (
     MAX_FRAME_BYTES,
@@ -23,6 +26,7 @@ from repro.fleet.protocol import (
     render_ws_handshake,
     websocket_accept,
 )
+from tests import ws_mask_oracle as oracle
 
 
 def run(coro):
@@ -220,3 +224,67 @@ class TestWebSocket:
 
     def test_bare_eof_reads_as_close(self):
         assert parse_frame(b"") == (OP_CLOSE, b"")
+
+
+# ----------------------------------------------------------------------
+# Masking against the per-byte oracle, and the RFC 6455 MUST checks
+# ----------------------------------------------------------------------
+#: Lengths where the 7/16/64-bit length encodings switch over.
+BOUNDARY_LENGTHS = [0, 1, 2, 3, 4, 5, 125, 126, 127, 65_535, 65_536, 65_537, 70_000]
+
+
+class TestMasking:
+    # RFC 6455 section 5.7: a single-frame text message "Hello".
+    HELLO_MASKED = bytes.fromhex("818537fa213d7f9f4d5158")
+    HELLO_UNMASKED = bytes.fromhex("810548656c6c6f")
+    HELLO_KEY = bytes.fromhex("37fa213d")
+
+    def test_rfc6455_hello_vectors_encode_byte_for_byte(self):
+        assert encode_ws_frame(b"Hello") == self.HELLO_UNMASKED
+        assert encode_ws_frame(b"Hello", mask_key=self.HELLO_KEY) == self.HELLO_MASKED
+        assert oracle.mask(b"Hello", self.HELLO_KEY) == self.HELLO_MASKED[6:]
+
+    def test_rfc6455_hello_vectors_decode(self):
+        assert parse_frame(self.HELLO_MASKED) == (OP_TEXT, b"Hello")
+        assert parse_frame(self.HELLO_UNMASKED) == (OP_TEXT, b"Hello")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.one_of(
+            st.sampled_from(BOUNDARY_LENGTHS), st.integers(0, 70_000)
+        ),
+        payload_seed=st.integers(0, 2**32 - 1),
+        mask_key=st.binary(min_size=4, max_size=4),
+        opcode=st.sampled_from([OP_TEXT, OP_BINARY]),
+    )
+    def test_masking_matches_per_byte_oracle(
+        self, length, payload_seed, mask_key, opcode
+    ):
+        payload = random.Random(payload_seed).randbytes(length)
+        raw = encode_ws_frame(payload, opcode=opcode, mask_key=mask_key)
+        body = len(raw) - length
+        assert raw[body - 4 : body] == mask_key
+        assert raw[body:] == oracle.mask(payload, mask_key)
+        assert parse_frame(raw) == (opcode, payload)
+
+    def test_reserved_bits_rejected(self):
+        for bit in (0x40, 0x20, 0x10):
+            raw = bytearray(encode_ws_frame(b"rsv", mask_key=b"\x01\x02\x03\x04"))
+            raw[0] |= bit
+            with pytest.raises(ProtocolError, match="reserved bits"):
+                parse_frame(bytes(raw))
+
+    def test_oversize_control_frame_rejected(self):
+        raw = encode_ws_frame(
+            b"p" * 126, opcode=OP_PING, mask_key=b"\x01\x02\x03\x04"
+        )
+        with pytest.raises(ProtocolError, match="control frame"):
+            parse_frame(raw)
+        # 125 bytes is the largest control payload the RFC allows.
+        ok = encode_ws_frame(b"p" * 125, opcode=OP_PING)
+        assert parse_frame(ok) == (OP_PING, b"p" * 125)
+
+    def test_frame_cut_off_by_eof_is_a_protocol_error(self):
+        raw = encode_ws_frame(b"truncated", mask_key=b"\x01\x02\x03\x04")
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            parse_frame(raw[:-3])
