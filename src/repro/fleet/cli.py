@@ -46,7 +46,8 @@ def add_fleet_parser(commands: Any) -> None:
                        help="resident-tenant budget before LRU eviction")
     serve.add_argument("--executor-workers", type=int, default=None,
                        metavar="N",
-                       help="thread-pool size for classification work")
+                       help="thread-pool size for model upload, training, "
+                            "checkpoint and rehydrate")
     serve.set_defaults(handler=cmd_fleet_serve)
 
     bench = actions.add_parser(

@@ -3,10 +3,12 @@
 One process, one event loop, many vehicles: each registered tenant
 streams digitizer chunks in (REST ``POST /tenants/<id>/ingest`` or a
 persistent WebSocket) and gets that chunk's verdicts back on the same
-round-trip.  The event loop only parses and routes; every CPU-heavy
-step — model training, chunk classification, checkpoint serialisation —
-runs on a thread executor while the tenant's asyncio lock is held, so
-one slow vehicle never stalls the others.
+round-trip.  The event loop parses, decodes and classifies each chunk
+under the tenant's asyncio lock: that work is GIL-bound and bounded by
+the request body, so a thread hop would only add a wait for the GIL.
+Work that touches files or runs for seconds — model upload, server-side
+training, checkpoint and rehydrate — runs on a thread executor, so one
+slow vehicle never stalls the others.
 
 Routes
 ------
@@ -97,7 +99,9 @@ class GatewayConfig:
     max_resident:
         Residency budget enforced by the supervisor.
     executor_workers:
-        Thread-pool size for the blocking work; ``None`` uses the
+        Thread-pool size for model upload, server-side training,
+        checkpoint and rehydrate (chunk classification runs on the
+        event loop); ``None`` uses the
         :class:`~concurrent.futures.ThreadPoolExecutor` default.
     train_duration_limit_s:
         Upper bound on server-side training captures, so one register
@@ -414,14 +418,13 @@ class FleetGateway:
             return 503, {"error": "gateway is draining"}
         if not isinstance(payload, dict):
             raise ProtocolError("ingest payload must be a JSON object")
-        loop = asyncio.get_running_loop()
         started = monotonic()
         async with record.lock:
             engine = await self.supervisor.resident_engine(record)
             chunk = decode_chunk(payload, engine.params)
-            verdicts = await loop.run_in_executor(
-                self.executor, lambda: engine.process_chunk(chunk)
-            )
+            # Classified on the loop: the work is GIL-bound, so a worker
+            # thread would only wait for the GIL while the loop decodes.
+            verdicts = engine.process_chunk(chunk)
         self._observe_ingest(record.tenant_id, verdicts, monotonic() - started)
         return 200, {
             "tenant": record.tenant_id,

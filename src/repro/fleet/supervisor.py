@@ -11,11 +11,12 @@ round-trip is byte-identical, so eviction is invisible in the verdict
 stream (pinned by the equivalence property tests).
 
 Concurrency model: all bookkeeping (the tenant table, LRU ordering,
-eviction choice) happens on the event loop, so it needs no locks.  The
-heavy lifting — chunk classification, checkpoint serialisation,
-rehydration — runs in the gateway's thread executor while the tenant's
-own :class:`asyncio.Lock` is held, which serialises each tenant's
-pipeline without blocking the loop or other tenants.
+eviction choice) happens on the event loop, so it needs no locks.
+Checkpoint serialisation and rehydration touch files, so they run in
+the gateway's thread executor while the tenant's own
+:class:`asyncio.Lock` is held, which serialises each tenant's pipeline
+without blocking the loop or other tenants.  Chunk classification runs
+on the loop itself, under the same lock (see :mod:`repro.fleet.gateway`).
 """
 
 from __future__ import annotations

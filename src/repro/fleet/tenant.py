@@ -11,8 +11,8 @@ every piece is the ``repro.stream`` machinery, a tenant evicted to a
 the byte-identical verdict sequence an uninterrupted tenant would —
 the property the fleet supervisor's residency budget leans on.
 
-Engines are driven from the gateway's thread executor, one chunk at a
-time per tenant (the per-tenant asyncio lock serialises access), so the
+Engines are driven from the gateway's event loop, one chunk at a time
+per tenant (the per-tenant asyncio lock serialises access), so the
 engine itself holds no locks.
 
 The module also owns the wire codec for chunks and verdicts: JSON
@@ -245,7 +245,7 @@ class TenantEngine:
         self._verdicts: list[dict[str, Any]] = []
 
     # ------------------------------------------------------------------
-    # Hot path (runs on the gateway's thread executor)
+    # Hot path (runs on the gateway's event loop)
     # ------------------------------------------------------------------
     def process_chunk(self, chunk: SampleChunk) -> list[dict[str, Any]]:
         """Classify every message completed by ``chunk``; return verdicts.
@@ -329,7 +329,7 @@ class TenantEngine:
         return self.health.verdicts()
 
     # ------------------------------------------------------------------
-    # Eviction / rehydration (also executor-side)
+    # Eviction / rehydration (runs on the gateway's thread executor)
     # ------------------------------------------------------------------
     def checkpoint(self, directory: str | Path) -> None:
         """Persist everything needed to continue this tenant elsewhere."""

@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -103,6 +104,37 @@ def call(server, method, path, payload=None):
         reader, writer = await asyncio.open_connection(server.host, server.port)
         try:
             return await http_json(reader, writer, method, path, payload)
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
+
+    return asyncio.run(go())
+
+
+def ws_exchange(server, path, payloads):
+    """Send each payload as one masked WebSocket text frame; the replies."""
+
+    async def go():
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        try:
+            await client_ws_connect(reader, writer, path)
+            replies = []
+            for payload in payloads:
+                writer.write(
+                    encode_ws_frame(
+                        json.dumps(payload).encode(),
+                        opcode=OP_TEXT,
+                        mask_key=b"\x10\x20\x30\x40",
+                    )
+                )
+                await writer.drain()
+                opcode, frame = await read_ws_frame(reader)
+                assert opcode == OP_TEXT
+                replies.append(json.loads(frame))
+            return replies
         finally:
             writer.close()
             try:
@@ -413,6 +445,78 @@ class TestWebSocket:
         assert match in close
         assert len(close) <= 125
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+def send_chunks(server, transport, payloads):
+    """Ingest ``payloads`` in order over REST or one WebSocket session.
+
+    Returns ``(ok, body)`` per payload, where ``body`` is the verdict
+    list of an accepted chunk and the error text of a rejected one.
+    """
+    if transport == "rest":
+        results = []
+        for payload in payloads:
+            status, body = call(server, "POST", "/tenants/v1/ingest", payload)
+            assert status in (200, 400, 409), (status, body)
+            results.append(
+                (True, body["verdicts"])
+                if status == 200
+                else (False, f"{status} {body['error']}")
+            )
+        return results
+    replies = ws_exchange(
+        server,
+        "/tenants/v1/stream",
+        [{"type": "chunk", **payload} for payload in payloads],
+    )
+    return [
+        (True, reply["verdicts"])
+        if reply["type"] == "verdicts"
+        else (False, reply["error"])
+        for reply in replies
+    ]
+
+
+@pytest.mark.parametrize("transport", ["rest", "ws"])
+class TestIngestOnTheLoop:
+    """Chunk classification runs inline on the gateway's event loop."""
+
+    def test_process_chunk_runs_on_the_loop_thread(
+        self, gateway, model_b64, fleet_chunks, monkeypatch, transport
+    ):
+        threads = []
+        process_chunk = TenantEngine.process_chunk
+
+        def recording(engine, chunk):
+            threads.append(threading.get_ident())
+            return process_chunk(engine, chunk)
+
+        monkeypatch.setattr(TenantEngine, "process_chunk", recording)
+        register(gateway, model_b64)
+        results = send_chunks(
+            gateway, transport, [encode_chunk(c) for c in fleet_chunks[:3]]
+        )
+        assert [ok for ok, _body in results] == [True] * 3
+        assert threads == [gateway._thread.ident] * 3
+
+    def test_tenant_recovers_after_rejected_chunks(
+        self, gateway, model_b64, fleet_chunks, reference_verdicts, transport
+    ):
+        """A rejected chunk leaves the tenant's lock and state intact."""
+        register(gateway, model_b64)
+        bad_dtype = {**encode_chunk(fleet_chunks[2]), "dtype": "float32"}
+        payloads = [encode_chunk(c) for c in fleet_chunks]
+        payloads[2:2] = [encode_chunk(fleet_chunks[0]), bad_dtype]
+        results = send_chunks(gateway, transport, payloads)
+        assert [ok for ok, _body in results[2:5]] == [False, False, True]
+        assert "out-of-order" in results[2][1]
+        assert "unsupported sample dtype" in results[3][1]
+        if transport == "rest":
+            assert results[2][1].startswith("409")
+            assert results[3][1].startswith("400")
+        accepted = [body for ok, body in results if ok]
+        assert accepted[2] == reference_verdicts[2]
+        assert flat(accepted) == flat(reference_verdicts)
 
 
 class TestObservability:
