@@ -516,36 +516,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv = list(args.paths)
-    argv += ["--root", args.root]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.lint_ignore:
-        argv += ["--ignore", args.lint_ignore]
-    if args.lint_format != "text":
-        argv += ["--format", args.lint_format]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.stats:
-        argv.append("--stats")
-    if args.baseline:
-        argv.append("--baseline")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.update_schema_lock:
-        argv.append("--update-schema-lock")
-    if args.quiet:
-        argv.append("--quiet")
-    return lint_main(argv)
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     path = Path(args.path)
     if not path.exists():
@@ -719,40 +689,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_fleet_parser(commands)
 
+    from repro.lint import cli as lint_cli
+
+    lint_options = lint_cli.build_parser(add_help=False)
     lint = commands.add_parser(
         "lint",
+        parents=[lint_options],
+        description=lint_options.description,
         help="check determinism / seed / concurrency / observability "
              "invariants (VPLxxx rules)",
     )
-    lint.add_argument("paths", nargs="*", default=["src", "tests"],
-                      help="files or directories (default: src tests)")
-    lint.add_argument("--root", default=".",
-                      help="repo root for config lookup (default: cwd)")
-    lint.add_argument("--select", metavar="CODES",
-                      help="comma-separated codes/prefixes to run")
-    lint.add_argument("--ignore", dest="lint_ignore", metavar="CODES",
-                      help="comma-separated codes/prefixes to skip")
-    lint.add_argument("--format", dest="lint_format",
-                      choices=("text", "sarif"), default="text",
-                      help="report format (sarif: SARIF 2.1.0 on stdout)")
-    lint.add_argument("--jobs", type=int, metavar="N", default=None,
-                      help="analyze modules on N threads "
-                           "(default: $REPRO_LINT_JOBS or 1)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="skip the incremental analysis cache")
-    lint.add_argument("--stats", action="store_true",
-                      help="print analyzed/restored/parse counters")
-    lint.add_argument("--baseline", action="store_true",
-                      help="waive findings recorded in the baseline file")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="re-record the baseline from current findings")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print every registered rule and exit")
-    lint.add_argument("--update-schema-lock", action="store_true",
-                      help="re-record the capture-cache schema fingerprint")
-    lint.add_argument("-q", "--quiet", action="store_true",
-                      help="no summary line on a clean run")
-    lint.set_defaults(handler=cmd_lint)
+    lint.set_defaults(handler=lint_cli.run)
 
     return parser
 

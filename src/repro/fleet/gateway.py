@@ -215,13 +215,17 @@ class FleetGateway:
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
-            if task is not None:
-                self._sessions.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            finally:
+                # Leave the set only once the transport is closed, so
+                # stop() still awaits a session that is shutting down
+                # instead of closing the loop under it.
+                if task is not None:
+                    self._sessions.discard(task)
 
     async def _connection_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

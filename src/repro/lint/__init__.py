@@ -14,12 +14,11 @@ Usage::
     python -m repro.lint --list-rules
     python -m repro.lint --update-schema-lock
 
-Rules carry ``VPLxxx`` codes (see ``docs/static-analysis.md``); inline
-waivers use ``# vpl: ignore[VPL104]`` comments, repo-wide scoping lives
-in ``[tool.repro-lint]`` in pyproject.toml.
+Rules carry ``VPLxxx`` codes (see ``docs/static-analysis.md``).  The
+only waiver is an inline ``# vpl: ignore[VPL104]`` comment; repo-wide
+scoping lives in ``[tool.repro-lint]`` in pyproject.toml.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.cache import AnalysisCache
 from repro.lint.callgraph import CallGraph
 from repro.lint.config import (
@@ -47,11 +46,9 @@ from repro.lint.runner import (
     lint_source,
     run_lint,
 )
-from repro.lint.sarif import render_sarif
 
 __all__ = [
     "AnalysisCache",
-    "Baseline",
     "CallGraph",
     "Diagnostic",
     "LintConfig",
@@ -71,7 +68,6 @@ __all__ = [
     "lint_source",
     "load_config",
     "register",
-    "render_sarif",
     "run_lint",
     "schema_fingerprint",
     "update_lock",

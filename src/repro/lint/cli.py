@@ -1,37 +1,33 @@
 """Command-line front end: ``python -m repro.lint`` / ``repro lint``.
 
-Exit codes follow compiler conventions: 0 clean, 1 violations found,
-2 usage errors (unreadable paths, malformed config).  With
-``--baseline`` only findings absent from the checked-in baseline fail
-the run; waived findings still surface (a summary line in text mode, a
-``suppressions`` entry in SARIF).
+Both front ends parse with :func:`build_parser` and dispatch to
+:func:`run`, so every option is declared once.  Exit codes follow
+compiler conventions: 0 clean, 1 violations found, 2 usage errors
+(unreadable paths, malformed config).  A finding is waived only inline,
+with ``# vpl: ignore[CODE]`` on its line.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
 from repro.lint import fingerprint as fp
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfigError, load_config
 from repro.lint.diagnostics import format_report
 from repro.lint.rules import iter_rules
 from repro.lint.runner import run_lint
-from repro.lint.sarif import render_sarif
 
 DEFAULT_PATHS = ("src", "tests")
 
-#: Environment override for ``--jobs`` (CI sets this fleet-wide).
-JOBS_ENV = "REPRO_LINT_JOBS"
 
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
+    """The lint options; ``repro lint`` reuses them as a parent parser."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
+        add_help=add_help,
         description="Whole-program invariant checker: determinism, seed "
         "provenance, concurrency safety, executor boundaries, "
         "observability hygiene (VPLxxx).",
@@ -59,20 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated codes/prefixes to skip",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "sarif"),
-        default="text",
-        help="report format (sarif emits a SARIF 2.1.0 log on stdout)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=None,
-        help="analyze modules on N threads (default: $"
-        f"{JOBS_ENV} or 1); the shared parse pass makes this safe",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore and do not write the incremental analysis cache",
@@ -81,16 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print analyzed/restored/parse counters to stderr",
-    )
-    parser.add_argument(
-        "--baseline",
-        action="store_true",
-        help="waive findings recorded in the checked-in baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="re-record the baseline from the current findings and exit",
     )
     parser.add_argument(
         "--list-rules",
@@ -116,24 +88,12 @@ def _codes(raw: Optional[str]) -> tuple[str, ...]:
     return tuple(code.strip().upper() for code in raw.split(",") if code.strip())
 
 
-def _jobs(args: argparse.Namespace) -> Optional[int]:
-    if args.jobs is not None:
-        return args.jobs
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            return None
-    return None
-
-
-def main(argv: Optional[Sequence[str]] = None, *,
-         stdout: Optional[IO[str]] = None,
-         stderr: Optional[IO[str]] = None) -> int:
+def run(args: argparse.Namespace, *,
+        stdout: Optional[IO[str]] = None,
+        stderr: Optional[IO[str]] = None) -> int:
+    """Run the checker for parsed ``args``; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    args = build_parser().parse_args(argv)
 
     if args.list_rules:
         for rule in iter_rules():
@@ -158,11 +118,7 @@ def main(argv: Optional[Sequence[str]] = None, *,
 
     try:
         result = run_lint(
-            args.paths,
-            config,
-            root=root,
-            jobs=_jobs(args),
-            use_cache=not args.no_cache,
+            args.paths, config, root=root, use_cache=not args.no_cache
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=err)
@@ -176,57 +132,18 @@ def main(argv: Optional[Sequence[str]] = None, *,
             file=err,
         )
 
-    if args.update_baseline:
-        baseline = Baseline.from_diagnostics(result.diagnostics)
-        path = baseline.save(root, config)
-        print(
-            f"baseline updated -> {path} "
-            f"({len(result.diagnostics)} findings recorded)",
-            file=out,
-        )
-        return 0
-
-    new, waived, stale = result.diagnostics, [], []
-    if args.baseline:
-        baseline = Baseline.load(root, config)
-        if baseline is None:
-            print(
-                f"error: baseline {config.baseline} is missing or "
-                "unreadable; run --update-baseline first",
-                file=err,
-            )
-            return 2
-        split = baseline.apply(result.diagnostics)
-        new, waived, stale = split.new, split.waived, split.stale
-
-    if args.format == "sarif":
-        print(
-            render_sarif(
-                new,
-                iter_rules(),
-                waived=waived,
-                root_uri=root.resolve().as_uri() + "/",
-            ),
-            file=out,
-            end="",
-        )
-        return 1 if new else 0
-
-    if new:
-        print(format_report(new), file=out)
-    if waived:
-        print(f"{len(waived)} finding(s) waived by {config.baseline}", file=out)
-    for path_, code, _message in stale:
-        print(
-            f"stale baseline entry (fixed): {path_}: {code} — "
-            "run --update-baseline to shrink the record",
-            file=out,
-        )
-    if new:
+    if result.diagnostics:
+        print(format_report(result.diagnostics), file=out)
         return 1
-    if not args.quiet and not waived:
+    if not args.quiet:
         print("all checks passed", file=out)
     return 0
 
 
-__all__ = ["DEFAULT_PATHS", "JOBS_ENV", "build_parser", "main"]
+def main(argv: Optional[Sequence[str]] = None, *,
+         stdout: Optional[IO[str]] = None,
+         stderr: Optional[IO[str]] = None) -> int:
+    return run(build_parser().parse_args(argv), stdout=stdout, stderr=stderr)
+
+
+__all__ = ["DEFAULT_PATHS", "build_parser", "main", "run"]

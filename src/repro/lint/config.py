@@ -89,9 +89,6 @@ class LintConfig:
     seed_sinks:
         Dotted targets (fnmatch patterns allowed) of synthesis /
         extraction entry points whose generator arguments VPL210 audits.
-    baseline:
-        The checked-in baseline file waiving pre-existing findings
-        (``repro lint --baseline``).
     cache_dir:
         Directory of the incremental analysis cache, relative to root.
     lock_attribute_hints:
@@ -150,7 +147,6 @@ class LintConfig:
         "repro.perf.synthesize_waveform_batch",
         "repro.perf.synthesize_waveform_matrix",
     )
-    baseline: str = "lint-baseline.json"
     cache_dir: str = ".repro_lint_cache"
     lock_attribute_hints: tuple[str, ...] = ("lock", "cond", "idle", "mutex")
     metric_name_pattern: str = r"^vprofile_[a-z][a-z0-9_]*$"
@@ -220,7 +216,6 @@ _STR_FIELDS = {
     "schema-version-file": "schema_version_file",
     "schema-version-constant": "schema_version_constant",
     "schema-lock": "schema_lock",
-    "baseline": "baseline",
     "cache-dir": "cache_dir",
 }
 

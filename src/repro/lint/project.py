@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -121,7 +120,6 @@ class Project:
         #: Number of ``ast.parse`` calls made on behalf of this project —
         #: the regression hook for the parse-once contract.
         self.parse_count = 0
-        self._parse_count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Construction
@@ -185,8 +183,7 @@ class Project:
             return module.tree
         if module.syntax_error is not None:
             return None
-        with self._parse_count_lock:  # workers parse disjoint modules
-            self.parse_count += 1
+        self.parse_count += 1
         try:
             module.tree = ast.parse(module.source, filename=module.path)
         except SyntaxError as exc:

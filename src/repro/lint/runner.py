@@ -2,11 +2,10 @@
 
 The run is two passes over one shared parse:
 
-1. **Per-module analysis** (cacheable, parallelisable): parse the file,
-   run every module-local rule, extract the whole-program summary.  The
+1. **Per-module analysis** (cacheable): parse the file, run every
+   module-local rule, extract the whole-program summary.  The
    incremental cache serves this pass wholesale for unchanged bytes —
-   a warm run parses *zero* files — and ``--jobs`` fans it out over a
-   thread pool for cold runs.
+   a warm run parses *zero* files.
 2. **Project analysis** (always recomputed): build the call graph over
    the summaries and run the interprocedural rules (lockset, async
    locks, executor boundaries, seed provenance, schema lock).  Project
@@ -22,7 +21,6 @@ parse counters included) for the CLI and tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -120,7 +118,6 @@ def analyze_project(
     project: Project,
     *,
     rules: Optional[Iterable[Rule]] = None,
-    jobs: Optional[int] = None,
     cache: Optional[AnalysisCache] = None,
 ) -> LintResult:
     """Run both passes over a loaded project.
@@ -148,35 +145,20 @@ def analyze_project(
     module_diags: dict[str, list[Diagnostic]] = {}
 
     # ------------------------------------------------------------- pass 1
-    to_analyze: list[ProjectModule] = []
     for module in project.sorted_modules():
         cached = cache.get(module.path, module.sha) if cache else None
         if cached is not None:
             summary, diagnostics = cached
-            if summary:
-                summaries[module.path] = summary
-            module_diags[module.path] = diagnostics
             result.restored.append(module.path)
         else:
-            to_analyze.append(module)
-
-    def run_one(module: ProjectModule) -> None:
-        summary, diagnostics = _analyze_module(project, module, module_rules)
-        if summary is not None:
+            summary, diagnostics = _analyze_module(project, module, module_rules)
+            result.analyzed.append(module.path)
+            if cache is not None and module.syntax_error is None \
+                    and summary is not None:
+                cache.put(module.path, module.sha, summary, diagnostics)
+        if summary:
             summaries[module.path] = summary
         module_diags[module.path] = diagnostics
-        if cache is not None and module.syntax_error is None \
-                and summary is not None:
-            cache.put(module.path, module.sha, summary, diagnostics)
-
-    workers = max(int(jobs or 1), 1)
-    if workers > 1 and len(to_analyze) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, to_analyze))
-    else:
-        for module in to_analyze:
-            run_one(module)
-    result.analyzed = [module.path for module in to_analyze]
 
     # ------------------------------------------------------------- pass 2
     if project_rules and summaries:
@@ -212,7 +194,6 @@ def run_lint(
     config: Optional[LintConfig] = None,
     *,
     root: str | Path = ".",
-    jobs: Optional[int] = None,
     use_cache: bool = False,
 ) -> LintResult:
     """Lint every Python file reachable from ``paths``."""
@@ -223,7 +204,7 @@ def run_lint(
         cache = AnalysisCache.load(
             Path(root), config, tuple(sorted(all_rules()))
         )
-    return analyze_project(project, jobs=jobs, cache=cache)
+    return analyze_project(project, cache=cache)
 
 
 def lint_paths(
@@ -231,13 +212,10 @@ def lint_paths(
     config: Optional[LintConfig] = None,
     *,
     root: str | Path = ".",
-    jobs: Optional[int] = None,
     use_cache: bool = False,
 ) -> list[Diagnostic]:
     """Diagnostics-only wrapper around :func:`run_lint`."""
-    return run_lint(
-        paths, config, root=root, jobs=jobs, use_cache=use_cache
-    ).diagnostics
+    return run_lint(paths, config, root=root, use_cache=use_cache).diagnostics
 
 
 def lint_source(

@@ -62,12 +62,11 @@ def _format_value(value: float) -> str:
 def to_prometheus(registry: MetricsRegistry) -> str:
     """Render the registry in Prometheus text exposition format."""
     lines: list[str] = []
-    for family in registry.families():
+    for family, children in registry.collect():
         if family.help:
             lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
         lines.append(f"# TYPE {family.name} {family.kind}")
-        for key, child in sorted(family.children.items()):
-            labels = dict(key)
+        for labels, child in children:
             if family.kind in ("counter", "gauge"):
                 lines.append(
                     f"{family.name}{_format_labels(labels)} "

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, Union
 
 from repro.errors import ObservabilityError
 
@@ -251,6 +251,10 @@ class Histogram:
         return out
 
 
+#: Any child of a metric family.
+Instrument = Union[Counter, Gauge, Histogram]
+
+
 # ----------------------------------------------------------------------
 # Families and the registry
 # ----------------------------------------------------------------------
@@ -271,7 +275,7 @@ class MetricFamily:
         self.name = name
         self.kind = kind
         self.help = help
-        self.children: dict[LabelKey, Counter | Gauge | Histogram] = {}
+        self.children: dict[LabelKey, Instrument] = {}
         self.buckets = buckets
         self.quantiles = quantiles
 
@@ -279,9 +283,13 @@ class MetricFamily:
 class MetricsRegistry:
     """A live, mutable collection of metric families.
 
-    Thread-safe for instrument *creation*; individual updates rely on
-    the GIL (float ``+=`` races would at worst drop a tick, which is an
-    acceptable trade for zero locking on the per-message path).
+    Instrument *creation* and every read of the family and child dicts
+    (:meth:`families`, :meth:`get`, :meth:`samples`, :meth:`collect`)
+    hold ``_lock``, so a ``/metrics`` scrape or a time-series sample can
+    run while the stream worker creates labelled children.  Readers get
+    a snapshot of the dicts, never a live view.  Individual updates rely
+    on the GIL (float ``+=`` races would at worst drop a tick, which is
+    an acceptable trade for zero locking on the per-message path).
     """
 
     enabled = True
@@ -357,33 +365,45 @@ class MetricsRegistry:
     # -- introspection --------------------------------------------------
     def families(self) -> Iterator[MetricFamily]:
         """Families sorted by name (stable export order)."""
-        for name in sorted(self._families):
-            yield self._families[name]
+        with self._lock:
+            return iter([family for _, family in sorted(self._families.items())])
 
     def get(self, name: str, **labels: str):
         """Existing instrument or ``None`` (does not create)."""
-        family = self._families.get(name)
-        if family is None:
-            return None
-        return family.children.get(_label_key(labels))
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                return None
+            return family.children.get(_label_key(labels))
 
-    def samples(self, name: str) -> Iterator[tuple[dict, "Counter | Gauge | Histogram"]]:
+    def samples(self, name: str) -> Iterator[tuple[dict, Instrument]]:
         """``(labels, instrument)`` pairs of one family (empty if absent)."""
-        family = self._families.get(name)
-        if family is None:
-            return
-        for key, child in family.children.items():
-            yield dict(key), child
+        with self._lock:
+            family = self._families.get(name)
+            children = list(family.children.items()) if family is not None else []
+        return iter([(dict(key), child) for key, child in children])
+
+    def collect(self) -> list[tuple[MetricFamily, list[tuple[dict, Instrument]]]]:
+        """Every family by name, with its ``(labels, instrument)`` pairs.
+
+        The one export walk: :meth:`snapshot`, the Prometheus exporter
+        and the time-series sampler all read the registry through it.
+        """
+        with self._lock:
+            return [
+                (family, [(dict(key), child) for key, child in sorted(family.children.items())])
+                for _, family in sorted(self._families.items())
+            ]
 
     def snapshot(self) -> dict:
         """JSON-serialisable dump of every instrument."""
         counters, gauges, histograms = [], [], []
-        for family in self.families():
-            for key, child in sorted(family.children.items()):
+        for family, children in self.collect():
+            for labels, child in children:
                 entry = {
                     "name": family.name,
                     "help": family.help,
-                    "labels": dict(key),
+                    "labels": labels,
                 }
                 if family.kind == "counter":
                     counters.append({**entry, "value": child.value})
@@ -490,11 +510,11 @@ class NullRegistry(MetricsRegistry):
     def get(self, name: str, **labels: str):
         return None
 
-    def samples(self, name: str) -> Iterator[tuple[dict, Counter | Gauge | Histogram]]:
+    def samples(self, name: str) -> Iterator[tuple[dict, Instrument]]:
         return iter(())
 
-    def snapshot(self) -> dict:
-        return {"counters": [], "gauges": [], "histograms": []}
+    def collect(self) -> list[tuple[MetricFamily, list[tuple[dict, Instrument]]]]:
+        return []
 
     def reset(self) -> None:
         pass

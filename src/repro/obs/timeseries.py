@@ -124,9 +124,8 @@ class TimeSeriesStore:
     # ------------------------------------------------------------------
     def _snapshot_values(self, registry: MetricsRegistry) -> dict[str, float]:
         values: dict[str, float] = {}
-        for family in registry.families():
-            for key, child in sorted(family.children.items()):
-                labels = dict(key)
+        for family, children in registry.collect():
+            for labels, child in children:
                 if isinstance(child, Histogram):
                     values[series_key(family.name, labels, "count")] = float(child.count)
                     values[series_key(family.name, labels, "sum")] = float(child.sum)

@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -24,6 +25,7 @@ from repro.fleet.gateway import (
     CHUNKS_METRIC,
     FRAMES_METRIC,
     WS_CONNECTIONS_METRIC,
+    FleetGateway,
     GatewayConfig,
     GatewayThread,
 )
@@ -604,6 +606,32 @@ class TestGracefulDrain:
                 assert status == 200
                 collected.append(body["verdicts"])
         assert flat(collected) == flat(reference_verdicts)
+
+    def test_stop_finishes_every_session_task(self, tmp_path, monkeypatch):
+        """Sessions closing while the gateway stops must not be left
+        pending on the closed loop ("Task was destroyed but it is
+        pending!" when they are collected later)."""
+        tasks = []
+        serve = FleetGateway._serve_connection
+
+        async def recording(self, reader, writer):
+            tasks.append(asyncio.current_task())
+            await serve(self, reader, writer)
+
+        monkeypatch.setattr(FleetGateway, "_serve_connection", recording)
+        config = GatewayConfig(state_dir=tmp_path / "state")
+        with GatewayThread(config, MetricsRegistry()) as server:
+            clients = [
+                socket.create_connection((server.host, server.port))
+                for _ in range(32)
+            ]
+            deadline = time.monotonic() + 10.0
+            while len(tasks) < len(clients) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for client in clients:
+                client.close()
+        assert len(tasks) == len(clients)
+        assert [task for task in tasks if not task.done()] == []
 
     @pytest.mark.slow
     def test_sigterm_drains_the_serve_process(

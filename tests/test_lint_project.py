@@ -3,28 +3,22 @@
 Covers the interprocedural rule family (VPL210/310/311/320) over
 multi-module fixtures, the parse-once contract of the shared
 :class:`~repro.lint.project.Project` pass, the incremental analysis
-cache (warm runs parse nothing and emit byte-identical diagnostics),
-the SARIF 2.1.0 serialisation, the baseline workflow, and the
-``--jobs`` parallel analysis path.
+cache (warm runs parse nothing and emit byte-identical diagnostics)
+and the project rule registry.
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.lint import LintConfig, lint_source
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache
 from repro.lint.callgraph import CallGraph
 from repro.lint.dataflow import extract_summary
 from repro.lint.project import Project, module_name
 from repro.lint.resolver import ImportResolver
 from repro.lint.rules import all_rules, iter_module_rules, iter_project_rules
 from repro.lint.runner import analyze_project, run_lint
-from repro.lint.sarif import sarif_report
-import ast
 
 
 def project_codes(sources, config=None, **cfg):
@@ -840,91 +834,6 @@ def test_cached_project_verdicts_follow_other_files(tmp_path):
     second = run_lint(["src"], config, root=tmp_path, use_cache=True)
     assert second.restored == ["src/repro/render.py"]
     assert [d.code for d in second.diagnostics] == ["VPL210"]
-
-
-def test_jobs_parallel_analysis_is_deterministic(tmp_path):
-    files = {
-        f"src/m{i}.py": DIRTY_MODULE + f"X{i} = {i}\n" for i in range(12)
-    }
-    _write_tree(tmp_path, files)
-    config = LintConfig()
-    serial = run_lint(["src"], config, root=tmp_path)
-    parallel = run_lint(["src"], config, root=tmp_path, jobs=4)
-    assert parallel.diagnostics == serial.diagnostics
-    assert parallel.parse_count == len(files)
-
-
-# ----------------------------------------------------------------------
-# SARIF
-# ----------------------------------------------------------------------
-def test_sarif_report_shape_and_rule_metadata():
-    diags = project_diags({"src/repro/obs/pool.py": WORKERS_RACE})
-    report = sarif_report(
-        diags, all_rules().values(), root_uri="file:///repo/"
-    )
-    assert report["version"] == "2.1.0"
-    assert "sarif-schema-2.1.0" in report["$schema"]
-    run = report["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-lint"
-    ids = [rule["id"] for rule in driver["rules"]]
-    assert ids == sorted(ids) and "VPL310" in ids
-    for rule in driver["rules"]:
-        assert rule["shortDescription"]["text"]
-    result = run["results"][0]
-    assert result["ruleId"] == "VPL310"
-    assert driver["rules"][result["ruleIndex"]]["id"] == "VPL310"
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "src/repro/obs/pool.py"
-    assert location["artifactLocation"]["uriBaseId"] == "SRCROOT"
-    assert location["region"]["startLine"] >= 1
-    assert location["region"]["startColumn"] >= 1
-    assert run["originalUriBaseIds"]["SRCROOT"]["uri"] == "file:///repo/"
-
-
-def test_sarif_waived_findings_carry_suppressions():
-    diags = project_diags({"src/repro/obs/pool.py": WORKERS_RACE})
-    report = sarif_report(
-        [], all_rules().values(), waived=diags
-    )
-    results = report["runs"][0]["results"]
-    assert len(results) == len(diags)
-    for result in results:
-        assert result["suppressions"][0]["kind"] == "external"
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def test_baseline_waives_recorded_findings_and_flags_new_ones(tmp_path):
-    diags = project_diags({"src/repro/obs/pool.py": WORKERS_RACE})
-    baseline = Baseline.from_diagnostics(diags)
-    config = LintConfig()
-    baseline.save(tmp_path, config)
-    loaded = Baseline.load(tmp_path, config)
-    split = loaded.apply(diags)
-    assert split.new == [] and split.waived == diags and split.stale == []
-
-    # A second identical finding elsewhere in the file is NEW: the
-    # baseline counts occurrences, it does not waive a message forever.
-    extra = diags + diags
-    split = loaded.apply(extra)
-    assert len(split.waived) == len(diags)
-    assert len(split.new) == len(diags)
-
-
-def test_baseline_reports_stale_entries_once_fixed(tmp_path):
-    diags = project_diags({"src/repro/obs/pool.py": WORKERS_RACE})
-    baseline = Baseline.from_diagnostics(diags)
-    split = baseline.apply([])
-    assert split.stale and split.stale[0][1] == "VPL310"
-
-
-def test_baseline_missing_or_corrupt_loads_as_none(tmp_path):
-    config = LintConfig()
-    assert Baseline.load(tmp_path, config) is None
-    (tmp_path / config.baseline).write_text("{broken")
-    assert Baseline.load(tmp_path, config) is None
 
 
 # ----------------------------------------------------------------------

@@ -3,18 +3,18 @@
 This is the PR-blocking contract behind the CI ``lint`` job: every
 determinism / seed / concurrency / observability rule — including the
 whole-program family (VPL210/310/311/320) — holds over ``src/`` and
-``tests/`` modulo the checked-in baseline, the capture-cache schema
-lock matches the current dataclass layout, and the CLI front ends
-report violations with ``file:line`` diagnostics and a non-zero exit
-code.  CI runs ``--baseline``; these tests assert the same split: no
-*new* findings, no *stale* waivers, and every waived finding is one of
-the documented registry introspection reads.
+``tests/`` with zero findings (inline ``# vpl: ignore[CODE]`` is the
+only waiver), the capture-cache schema lock matches the current
+dataclass layout, and both CLI front ends report violations with
+``file:line`` diagnostics and a non-zero exit code.
 """
 
 import io
 from pathlib import Path
 
-from repro.lint import Baseline, lint_paths, load_config
+import pytest
+
+from repro.lint import lint_paths, load_config
 from repro.lint.cli import main as lint_main
 from repro.lint.fingerprint import (
     current_schema_version,
@@ -28,38 +28,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def test_src_and_tests_are_violation_free_modulo_baseline():
     config = load_config(REPO_ROOT)
     diagnostics = lint_paths(["src", "tests"], config, root=REPO_ROOT)
-    baseline = Baseline.load(REPO_ROOT, config)
-    assert baseline is not None, f"{config.baseline} missing or unreadable"
-    split = baseline.apply(diagnostics)
-    assert split.new == [], "\n".join(d.format() for d in split.new)
-    # Fixed findings must leave the record — the baseline only shrinks.
-    assert split.stale == [], split.stale
-    # Every waiver is a documented read-only introspection path on the
-    # metric registry (benign torn reads; see lint-baseline.json).
-    assert {(d.path, d.code) for d in split.waived} <= {
-        ("src/repro/obs/registry.py", "VPL310")
-    }, split.waived
+    assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
 
 
 def test_cli_exits_zero_on_the_repo_with_baseline():
     out, err = io.StringIO(), io.StringIO()
     code = lint_main(
-        ["--root", str(REPO_ROOT), "--baseline", "src", "tests"],
-        stdout=out, stderr=err,
+        ["--root", str(REPO_ROOT), "src", "tests"], stdout=out, stderr=err
     )
     assert code == 0, out.getvalue() + err.getvalue()
-    assert "waived by lint-baseline.json" in out.getvalue()
-
-
-def test_cli_without_baseline_surfaces_the_waived_findings():
-    """The baseline is load-bearing: a bare run shows what it waives."""
-    out = io.StringIO()
-    code = lint_main(
-        ["--root", str(REPO_ROOT), "src", "tests"], stdout=out
-    )
-    assert code == 1
-    report = out.getvalue()
-    assert "VPL310" in report and "src/repro/obs/registry.py" in report
+    assert out.getvalue() == "all checks passed\n"
 
 
 def test_cli_exits_nonzero_with_located_diagnostics(tmp_path):
@@ -88,11 +66,32 @@ def test_cli_rejects_missing_paths(tmp_path):
     assert "error:" in err.getvalue()
 
 
-def test_repro_cli_lint_subcommand():
+def test_repro_cli_lint_subcommand(capsys):
     from repro.cli import main as repro_main
 
-    argv = ["lint", "--root", str(REPO_ROOT), "--baseline", "-q", "src"]
-    assert repro_main(argv) == 0
+    assert repro_main(["lint", "--root", str(REPO_ROOT), "src"]) == 0
+    assert capsys.readouterr().out == "all checks passed\n"
+
+
+@pytest.mark.parametrize("case", ["clean-repo", "select", "list-rules", "dirty-file"])
+def test_repro_lint_and_python_m_repro_lint_agree(case, tmp_path, capsys):
+    """``repro lint ARGV`` and ``python -m repro.lint ARGV`` are one command."""
+    from repro.cli import main as repro_main
+
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text("import numpy as np\nrng = np.random.default_rng()\n")
+    argv = {
+        "clean-repo": ["--root", str(REPO_ROOT), "src", "tests"],
+        "select": ["--root", str(REPO_ROOT), "--select", "VPL1", "src", "tests"],
+        "list-rules": ["--list-rules"],
+        "dirty-file": ["--root", str(tmp_path), "--no-cache", str(dirty)],
+    }[case]
+    lint_code = lint_main(argv)
+    lint_out = capsys.readouterr().out
+    repro_code = repro_main(["lint", *argv])
+    repro_out = capsys.readouterr().out
+    assert (repro_code, repro_out) == (lint_code, lint_out)
+    assert lint_code == (1 if case == "dirty-file" else 0), lint_out
 
 
 def test_schema_lock_matches_current_tree():

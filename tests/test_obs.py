@@ -3,6 +3,8 @@
 import json
 import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -67,6 +69,76 @@ class TestRegistry:
         assert by_labels == {"extract": 2.0, "classify": 1.0}
         assert list(registry.samples("absent")) == []
         assert list(obs.NULL_REGISTRY.samples("hits_total")) == []
+
+    def test_collect_orders_families_and_children(self):
+        registry = obs.MetricsRegistry()
+        registry.gauge("b_depth", queue="y").set(2)
+        registry.gauge("b_depth", queue="x").set(1)
+        registry.counter("a_total").inc()
+        collected = [
+            (family.name, [(labels, child.value) for labels, child in children])
+            for family, children in registry.collect()
+        ]
+        assert collected == [
+            ("a_total", [({}, 1.0)]),
+            ("b_depth", [({"queue": "x"}, 1.0), ({"queue": "y"}, 2.0)]),
+        ]
+        assert obs.NULL_REGISTRY.collect() == []
+
+    # A /metrics scrape or a time-series sample reads the registry while
+    # the stream worker creates children; readers must hold a snapshot.
+    def test_families_iterator_survives_reset(self):
+        registry = obs.MetricsRegistry()
+        registry.counter("a_total")
+        registry.counter("b_total")
+        families = registry.families()
+        assert next(families).name == "a_total"
+        registry.reset()
+        assert next(families).name == "b_total"
+
+    def test_samples_iterator_survives_child_creation(self):
+        registry = obs.MetricsRegistry()
+        registry.counter("hits_total", stage="extract").inc()
+        samples = registry.samples("hits_total")
+        assert next(samples)[0] == {"stage": "extract"}
+        registry.counter("hits_total", stage="classify")
+        assert list(samples) == []
+
+    def test_readers_race_child_creation(self):
+        registry = obs.MetricsRegistry()
+        errors: list[Exception] = []
+        done = threading.Event()
+
+        def write(worker: int) -> None:
+            for i in range(300):
+                registry.counter("hits_total", worker=str(worker), i=str(i)).inc()
+
+        def read() -> None:
+            try:
+                while not done.is_set():
+                    obs.to_prometheus(registry)
+                    list(registry.samples("hits_total"))
+                    registry.get("hits_total", worker="0", i="0")
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(2)]
+            writers = [threading.Thread(target=write, args=(w,)) for w in range(4)]
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=30)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in readers + writers)
+        assert errors == []
+        assert len(list(registry.samples("hits_total"))) == 4 * 300
 
 
 class TestHistogram:
