@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.acquisition.trace import VoltageTrace
 from repro.analog.transceiver import EdgeDynamics, TransceiverParams
@@ -121,6 +120,8 @@ def fit_edge_dynamics(
     a bounded least-squares problem against the second-order step
     response, with the exact crossing time as a nuisance parameter.
     """
+    from scipy.optimize import least_squares
+
     if not traces:
         raise WaveformError("no traces supplied")
     sample_rate = traces[0].sample_rate

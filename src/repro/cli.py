@@ -10,7 +10,7 @@ Python:
 * ``detect``      — replay an archive through a saved model, optionally
   injecting hijack attacks, and print the confusion matrix;
 * ``stream``      — run the online streaming runtime (chunked ingestion,
-  a classification worker, backpressure, checkpoint/resume) and print
+  inline Algorithm 3/4 classification, checkpoint/resume) and print
   alerts;
   ``--serve HOST:PORT`` exposes ``/metrics`` / ``/health`` /
   ``/timeseries`` over HTTP while the run is live, ``--flight-dir``
@@ -75,7 +75,6 @@ from repro.perf.parallel import default_jobs
 from repro.stream import (
     DEFAULT_CHUNK_SAMPLES,
     LiveSource,
-    OverflowPolicy,
     ReplaySource,
     StreamConfig,
     StreamTelemetry,
@@ -369,8 +368,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         )
 
     config = StreamConfig(
-        queue_capacity=args.queue_capacity,
-        policy=OverflowPolicy(args.policy),
         batch_size=args.batch_size,
         checkpoint_dir=args.checkpoint,
         checkpoint_every_chunks=args.checkpoint_every,
@@ -418,12 +415,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
         print(f"... {len(report.alerts) - len(shown)} more alerts suppressed "
               f"(--max-alerts {args.max_alerts})")
 
-    print(f"streamed {report.chunks} chunks / {report.samples} samples "
-          f"(policy {OverflowPolicy(config.policy).value})")
+    print(f"streamed {report.chunks} chunks / {report.samples} samples")
     reasons = ", ".join(f"{k}={v}" for k, v in sorted(report.reasons.items()))
     print(f"  messages={report.messages} anomalies={report.anomalies}"
           + (f" [{reasons}]" if reasons else ""))
-    print(f"  dropped={report.dropped} online-updates={report.updated} "
+    print(f"  online-updates={report.updated} "
           f"extraction-failures={report.extraction_failures} "
           f"checkpoints={report.checkpoints}")
     print(f"  {report.frames_per_s:.0f} frames/s over {report.wall_s:.2f}s")
@@ -598,14 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--chunk-samples", type=int,
                         default=DEFAULT_CHUNK_SAMPLES, metavar="N",
                         help="digitizer chunk size in samples")
-    stream.add_argument("--queue-capacity", type=int, default=256,
-                        help="classification queue bound")
-    stream.add_argument("--policy",
-                        choices=[p.value for p in OverflowPolicy],
-                        default=OverflowPolicy.BLOCK.value,
-                        help="queue overflow policy (backpressure vs loss)")
     stream.add_argument("--batch-size", type=int, default=8,
-                        help="feature vectors per vectorised detector call")
+                        help="most feature vectors per vectorised detector "
+                             "call; each chunk's messages are classified "
+                             "before the next chunk is read")
     stream.add_argument("--margin", type=float, default=None,
                         help="detection margin (default: checkpoint's, else 5)")
     stream.add_argument("--online-update", action="store_true",

@@ -269,9 +269,9 @@ class VProfilePipeline:
 
         ``source`` is a :class:`repro.stream.ChunkSource`; ``config`` a
         :class:`repro.stream.StreamConfig`; ``resume`` an optional
-        checkpoint (object or directory).  Classification happens on the
-        runtime's worker thread, but the profile store, the Algorithm 4
-        updater and the pipeline counters are shared: online updates
+        checkpoint (object or directory).  The runtime classifies on the
+        calling thread, and the profile store, the Algorithm 4 updater
+        and the pipeline counters are shared: online updates
         learned on the stream are immediately visible to
         :meth:`process` and vice versa.  Returns the run's
         :class:`repro.stream.StreamReport`.

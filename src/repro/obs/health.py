@@ -123,9 +123,9 @@ class _SourceWindow:
 class ProfileHealthMonitor:
     """Watches live cluster profiles against a pinned baseline.
 
-    Thread-safe: ``record_verdict`` / ``record_update`` are called from
-    worker threads in the streaming runtime; one lock guards all
-    mutable state.
+    Thread-safe: ``record_verdict`` / ``record_update`` are called by the
+    streaming runtime while ``/health`` scrapes read from the metrics
+    server's threads; one lock guards all mutable state.
     """
 
     def __init__(self, model: "VProfileModel", config: HealthConfig | None = None):
@@ -146,7 +146,7 @@ class ProfileHealthMonitor:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Recording (hot path, called from worker threads)
+    # Recording (hot path, called per verdict)
     # ------------------------------------------------------------------
     def record_verdict(self, source_address: int, is_anomaly: bool) -> None:
         with self._lock:

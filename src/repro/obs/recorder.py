@@ -24,8 +24,8 @@ mismatch — the per-field :class:`ReplayMismatch` list then measures
 exactly how far the profile moved across the window, which is itself
 the drift-vs-poisoning signal the health monitor consumes.
 
-The recorder is called from the classification worker thread; one lock
-guards the ring and the pending dump.  Heavy imports (``Detector``,
+The recorder is called from the thread that classifies stream
+messages; one lock guards the ring and the pending dump.  Heavy imports (``Detector``,
 ``VProfileModel``) happen lazily inside the dump/replay cold paths:
 ``repro.obs`` must stay import-cycle free from ``repro.core``.
 """
@@ -135,7 +135,7 @@ class FlightRecorder:
         self.bundle_paths: list[Path] = []
 
     # ------------------------------------------------------------------
-    # Hot path (worker thread)
+    # Hot path (one call per classified stream message)
     # ------------------------------------------------------------------
     def record(
         self,

@@ -286,7 +286,7 @@ class MetricsRegistry:
     Instrument *creation* and every read of the family and child dicts
     (:meth:`families`, :meth:`get`, :meth:`samples`, :meth:`collect`)
     hold ``_lock``, so a ``/metrics`` scrape or a time-series sample can
-    run while the stream worker creates labelled children.  Readers get
+    run while the stream runtime creates labelled children.  Readers get
     a snapshot of the dicts, never a live view.  Individual updates rely
     on the GIL (float ``+=`` races would at worst drop a tick, which is
     an acceptable trade for zero locking on the per-message path).

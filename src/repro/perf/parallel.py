@@ -112,6 +112,13 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     with _POOL_LOCK:
         pool = _POOLS.get(workers)
         if pool is None:
+            # Workers render noise with scipy.signal.lfilter, and
+            # scipy.signal imports scipy.optimize (~0.7 s).  Importing
+            # that before the fork lets every fresh worker inherit it.
+            # The rest of scipy.signal stays in the workers: here it
+            # would add ~27 MiB to every process that starts a pool.
+            import scipy.optimize  # noqa: F401
+
             pool = ProcessPoolExecutor(max_workers=workers)
             _POOLS[workers] = pool
         return pool

@@ -11,11 +11,11 @@ that just ended legitimate?" — against a continuous digitizer stream:
   incremental message segmentation and Algorithm 1 extraction with
   state carried across chunk boundaries, provably equivalent to the
   batch path on the concatenated stream;
-* :mod:`repro.stream.queues` / :mod:`repro.stream.workers` — a bounded
-  queue with an explicit backpressure policy feeding one classification
-  worker that batches the vectorised detector;
+* :mod:`repro.stream.workers` — the classification stage: each chunk's
+  messages go through Algorithm 3 and then 4 in vectorised batches, on
+  the ingest thread, before the next chunk is pulled;
 * :mod:`repro.stream.runtime` — the supervisor: hijack
-  injection, checkpoint/resume, graceful shutdown, obs metrics;
+  injection, checkpoint/resume, obs metrics;
 * :mod:`repro.stream.telemetry` — longitudinal telemetry riding on the
   runtime: metrics time-series, per-SA profile health, and the alert
   flight recorder (see :mod:`repro.obs`);
@@ -44,7 +44,6 @@ from repro.stream.chunks import (
     SampleChunk,
 )
 from repro.stream.extractor import ExtractorStats, StreamingExtractor, StreamMessage
-from repro.stream.queues import BoundedQueue, OverflowPolicy, QueueClosed
 from repro.stream.runtime import (
     CHUNKS_METRIC,
     EXTRACTION_FAILURES_METRIC,
@@ -55,13 +54,7 @@ from repro.stream.runtime import (
 )
 from repro.stream.segmenter import StreamingSegmenter
 from repro.stream.telemetry import StreamTelemetry, TelemetryConfig
-from repro.stream.workers import (
-    DROPPED_METRIC,
-    LATENCY_METRIC,
-    QUEUE_DEPTH_METRIC,
-    ShardedWorkerPool,
-    StreamVerdict,
-)
+from repro.stream.workers import LATENCY_METRIC, ShardedWorkerPool, StreamVerdict
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -76,9 +69,6 @@ __all__ = [
     "ExtractorStats",
     "StreamingExtractor",
     "StreamMessage",
-    "BoundedQueue",
-    "OverflowPolicy",
-    "QueueClosed",
     "CHUNKS_METRIC",
     "EXTRACTION_FAILURES_METRIC",
     "SAMPLES_METRIC",
@@ -88,9 +78,7 @@ __all__ = [
     "StreamingSegmenter",
     "StreamTelemetry",
     "TelemetryConfig",
-    "DROPPED_METRIC",
     "LATENCY_METRIC",
-    "QUEUE_DEPTH_METRIC",
     "ShardedWorkerPool",
     "StreamVerdict",
 ]

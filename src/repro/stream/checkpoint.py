@@ -11,9 +11,8 @@ A checkpoint is a directory with three files:
   message sequence number, the detection margin, and the Algorithm 1
   extraction constants.
 
-Checkpoints are only taken at quiesced chunk boundaries (classification
-queue drained, no in-flight classification), so resuming re-ingests
-nothing and re-classifies nothing: the resumed run's verdict sequence
+Checkpoints are only taken at chunk boundaries, after every message
+extracted so far has been classified, so resuming re-ingests nothing and re-classifies nothing: the resumed run's verdict sequence
 continues exactly where the interrupted one stopped.
 """
 

@@ -5,17 +5,14 @@
 
 * the **ingestion stage** pulls chunks from a :class:`ChunkSource` and
   feeds the incremental extractor;
-* extracted messages go onto the :class:`ShardedWorkerPool`'s one
-  bounded queue — when it fills, the configured overflow policy
-  (block / drop-newest / drop-oldest) decides between backpressure and
-  loss;
-* the worker classifies in vectorised batches; OK verdicts optionally
-  fold back into the *shared* profile store through the pipeline's
-  Algorithm 4 updater, so drift adaptation learned on the stream is
-  visible to every other consumer of the model;
-* the supervisor checkpoints at quiesced chunk boundaries, restores
-  from a checkpoint, and reports per-stage metrics through
-  :mod:`repro.obs`.
+* the :class:`ShardedWorkerPool` classifies each chunk's messages in
+  vectorised batches before the next chunk is pulled, on the same
+  thread; OK verdicts optionally fold back into the *shared* profile
+  store through the pipeline's Algorithm 4 updater, so drift adaptation
+  learned on the stream is visible to every other consumer of the model;
+* the supervisor checkpoints at chunk boundaries, where no message is
+  waiting, restores from a checkpoint, and reports per-stage metrics
+  through :mod:`repro.obs`.
 
 An optional hijack injector rewrites source addresses in flight with a
 seeded probability — the streaming twin of the paper's replay-and-
@@ -40,7 +37,6 @@ from repro.obs.registry import MetricsRegistry, get_registry
 from repro.stream.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.stream.chunks import ChunkSource
 from repro.stream.extractor import StreamingExtractor, StreamMessage
-from repro.stream.queues import OverflowPolicy
 from repro.stream.telemetry import StreamTelemetry, TelemetryConfig
 from repro.stream.workers import ShardedWorkerPool, StreamVerdict
 
@@ -58,10 +54,8 @@ class StreamConfig:
 
     Attributes
     ----------
-    queue_capacity / policy:
-        Classification queue bound and overflow behaviour under load.
     batch_size:
-        Feature vectors classified per vectorised detector call.
+        Max feature vectors per vectorised detector call.
     checkpoint_dir:
         Where to write checkpoints; ``None`` disables checkpointing.
     checkpoint_every_chunks:
@@ -77,8 +71,6 @@ class StreamConfig:
         ``/health`` while the run is live).  ``None`` disables it.
     """
 
-    queue_capacity: int = 256
-    policy: OverflowPolicy | str = OverflowPolicy.BLOCK
     batch_size: int = 8
     checkpoint_dir: str | Path | None = None
     checkpoint_every_chunks: int = 0
@@ -91,9 +83,9 @@ class StreamConfig:
 class StreamReport:
     """What one streaming run saw and decided.
 
-    ``verdicts`` is ordered by stream sequence number (the one worker
-    drains a FIFO queue), so two runs over the same source are
-    comparable element by element.
+    ``verdicts`` is ordered by stream sequence number, so two runs over
+    the same source are comparable element by element.  ``dropped`` is
+    always 0: every message is classified.
     """
 
     chunks: int = 0
@@ -168,8 +160,6 @@ class StreamRuntime:
         registry = get_registry()
         events = get_event_log()
         report = StreamReport()
-        # Appended by the worker thread only, read after pool.close()
-        # has joined it: no lock needed.
         results: list[StreamVerdict] = []
 
         telemetry: StreamTelemetry | None = None
@@ -194,8 +184,6 @@ class StreamRuntime:
 
         pool = ShardedWorkerPool(
             pipeline.detector,
-            queue_capacity=config.queue_capacity,
-            policy=config.policy,
             batch_size=config.batch_size,
             updater=pipeline.updater,
             on_result=collect,
@@ -203,58 +191,51 @@ class StreamRuntime:
         )
         events.info(
             "stream.started",
-            policy=OverflowPolicy(config.policy).value,
-            queue_capacity=config.queue_capacity,
             batch_size=config.batch_size,
             start_chunk=start_chunk,
             resumed=checkpoint is not None,
         )
 
         t0 = monotonic()
-        try:
-            for chunk in source.chunks(start_chunk):
-                report.chunks += 1
-                report.samples += len(chunk)
-                if registry.enabled:
-                    registry.counter(
-                        CHUNKS_METRIC, help="Chunks ingested by the stream runtime"
-                    ).inc()
-                    registry.counter(
-                        SAMPLES_METRIC, help="Samples ingested by the stream runtime"
-                    ).inc(len(chunk))
-                seq = self._submit_all(
-                    pool, extractor.push(chunk), seq, report
-                )
-                if telemetry is not None:
-                    telemetry.on_chunk()
-                if (
-                    config.checkpoint_dir is not None
-                    and config.checkpoint_every_chunks > 0
-                    and (chunk.seq + 1) % config.checkpoint_every_chunks == 0
-                ):
-                    pool.drain()
-                    self._checkpoint(extractor, chunk.seq + 1, seq)
-                    report.checkpoints += 1
-                    events.info(
-                        "stream.checkpoint",
-                        next_chunk=chunk.seq + 1,
-                        next_seq=seq,
-                        path=str(config.checkpoint_dir),
-                    )
-            seq = self._submit_all(pool, extractor.finish(), seq, report)
-            if self.config.checkpoint_dir is not None and report.chunks:
-                pool.drain()
-                self._checkpoint(extractor, start_chunk + report.chunks, seq)
+        for chunk in source.chunks(start_chunk):
+            report.chunks += 1
+            report.samples += len(chunk)
+            if registry.enabled:
+                registry.counter(
+                    CHUNKS_METRIC, help="Chunks ingested by the stream runtime"
+                ).inc()
+                registry.counter(
+                    SAMPLES_METRIC, help="Samples ingested by the stream runtime"
+                ).inc(len(chunk))
+            seq = self._classify_all(pool, extractor.push(chunk), seq, report)
+            if telemetry is not None:
+                telemetry.on_chunk()
+            if (
+                config.checkpoint_dir is not None
+                and config.checkpoint_every_chunks > 0
+                and (chunk.seq + 1) % config.checkpoint_every_chunks == 0
+            ):
+                self._checkpoint(extractor, chunk.seq + 1, seq)
                 report.checkpoints += 1
-        finally:
-            pool.close()
+                events.info(
+                    "stream.checkpoint",
+                    next_chunk=chunk.seq + 1,
+                    next_seq=seq,
+                    path=str(config.checkpoint_dir),
+                )
+        seq = self._classify_all(pool, extractor.finish(), seq, report)
+        if self.config.checkpoint_dir is not None and report.chunks:
+            self._checkpoint(extractor, start_chunk + report.chunks, seq)
+            report.checkpoints += 1
         if telemetry is not None:
-            report.bundles = telemetry.finish()
+            try:
+                report.bundles = telemetry.finish()
+            except OSError as exc:
+                raise StreamError(f"cannot write telemetry: {exc}") from exc
         report.wall_s = monotonic() - t0
 
         report.verdicts = results
         report.messages = len(results)
-        report.dropped = pool.dropped
         report.updated = pool.updated
         report.extraction_failures = extractor.stats.extraction_failures
         if registry.enabled and report.extraction_failures:
@@ -285,7 +266,6 @@ class StreamRuntime:
             chunks=report.chunks,
             messages=report.messages,
             anomalies=report.anomalies,
-            dropped=report.dropped,
             updated=report.updated,
             wall_s=report.wall_s,
             frames_per_s=report.frames_per_s,
@@ -295,13 +275,14 @@ class StreamRuntime:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _submit_all(
+    def _classify_all(
         self,
         pool: ShardedWorkerPool,
         messages: list[StreamMessage],
         seq: int,
         report: StreamReport,
     ) -> int:
+        """Hijack-inject, submit and classify one chunk's messages."""
         probability = self.config.hijack_probability
         for message in messages:
             if probability > 0:
@@ -316,6 +297,7 @@ class StreamRuntime:
                         report.injected_attacks.append(seq)
             pool.submit(seq, message)
             seq += 1
+        pool.flush()
         return seq
 
     def _hijack(
@@ -364,7 +346,7 @@ class StreamRuntime:
     ) -> None:
         """Fold the run's counters into the shared pipeline stats.
 
-        The worker path bypasses ``VProfilePipeline.process``, so the
+        The stream path bypasses ``VProfilePipeline.process``, so the
         shared counters (and their metric twins) are reconciled here —
         one bulk update per run, not one per message.
         """

@@ -102,8 +102,7 @@ class StreamingSegmenter:
         ):
             # Idle bus with nothing open: the chunk can neither open,
             # extend nor close a message.  One reduction decides that,
-            # where the full path below makes four passes over the chunk,
-            # each a GIL release the classification worker can grab.
+            # where the full path below makes four passes over the chunk.
             # Keep the padding tail ``_trim`` would (same values, same
             # dtype promotion), copied so the chunk itself is not pinned.
             self._total += samples.size

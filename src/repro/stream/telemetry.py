@@ -11,9 +11,10 @@ components into one object the runtime can drive:
   setting ``flight_dir``) that dumps forensics bundles on alert.
 
 The aggregator itself holds no locks: each component is internally
-thread-safe, and the aggregator only ever delegates.  ``on_verdict`` is
-invoked from the classification worker thread; ``on_chunk`` and
-``finish`` from the supervisor thread.
+thread-safe (the ``--serve`` endpoint reads them from its own threads),
+and the aggregator only ever delegates.  The runtime calls
+``on_verdict``, ``on_chunk`` and ``finish`` from the thread that runs
+the stream.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class StreamTelemetry:
             self.timeseries.sample()
 
     def on_verdict(self, verdict: StreamVerdict) -> None:
-        """Worker hook: feed one classified message into the monitor."""
+        """Classification hook: feed one verdict into the monitor."""
         self.health.record_verdict(
             verdict.result.source_address, verdict.result.is_anomaly
         )

@@ -1,24 +1,24 @@
-"""The classification worker: one thread behind one bounded queue.
+"""Stream classification: Algorithm 3, then 4, on the ingest thread.
 
-Extracted messages go onto a single :class:`BoundedQueue`; one worker
-thread drains it in batches and hands each batch to
-:meth:`~repro.core.detection.Detector.classify_and_update`, which
-computes the batch's distances in one vectorised call and then applies
-Algorithm 3 and Algorithm 4 message by message.  The verdicts therefore
-do not depend on where the batch boundaries fall.  The queue is FIFO
-and there is one consumer, so verdicts come out in stream sequence
-order.
+:class:`ShardedWorkerPool` collects the messages extracted from one
+chunk; :meth:`~ShardedWorkerPool.flush` hands them to
+:meth:`~repro.core.detection.Detector.classify_and_update` in calls of
+at most ``batch_size`` messages.  The kernel computes a call's distances
+in one vectorised step and then applies Algorithm 3 and Algorithm 4
+message by message, so the verdicts do not depend on where the call
+boundaries fall, and they come out in stream sequence order.
 
-There is one worker because more do not pay: on the stream-replay
-workload (Vehicle A, 2 cores) SA-sharded pools of 1/2/4 workers ran at
-1114/1103/1010 msg/s with identical verdicts: small-batch classify is
-mostly Python-level work under the GIL, and the Algorithm 4 update
-serialises on the one shared profile store.
+Everything runs on the thread that calls :meth:`StreamRuntime.run
+<repro.stream.runtime.StreamRuntime.run>`.  A classification thread
+behind a queue cost more than it bought: NumPy releases the GIL inside
+every large-array call, and each release handed the GIL to the other
+thread and cost a wake-up to get it back.  On stream-replay (Vehicle A,
+2 cores) that made 18-24 voluntary context switches per message;
+classifying inline makes none (see ``docs/streaming.md``).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,12 +31,7 @@ from repro.obs.clock import monotonic
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import get_registry
 from repro.stream.extractor import StreamMessage
-from repro.stream.queues import BoundedQueue, OverflowPolicy, QueueClosed
 
-#: Classification queue depth (set on every put when metrics are on).
-QUEUE_DEPTH_METRIC = "vprofile_stream_queue_depth"
-#: Messages dropped by queue overflow policies.
-DROPPED_METRIC = "vprofile_stream_dropped_total"
 #: Ingest-to-verdict latency of one message through the runtime.
 LATENCY_METRIC = "vprofile_stream_latency_seconds"
 
@@ -55,35 +50,31 @@ class StreamVerdict:
 
 
 class ShardedWorkerPool:
-    """One classification worker behind one bounded queue.
+    """The classification stage: collect a chunk's messages, then classify.
 
-    One worker, not N, for the reason in the module docstring; the class
-    name is kept because callers import it.
+    The name predates the inline design (it once ran SA-sharded worker
+    threads); it is kept because callers import it.
 
     Parameters
     ----------
     detector:
-        The shared trained detector (read-mostly).
-    queue_capacity / policy:
-        Queue bound and overflow behaviour.
+        The trained detector.
     batch_size:
-        Max feature vectors classified per vectorised detector call.
+        Max feature vectors per kernel call.  It bounds the per-fold
+        column recompute when one chunk holds many messages.
     updater:
         Optional Algorithm 4 online updater; OK verdicts are folded into
-        the shared model under the pool's update lock.
+        the shared model.
     on_result:
-        Callback invoked from the worker thread for every verdict.
+        Callback invoked for every verdict, in sequence order.
     recorder:
-        Optional flight recorder; every verdict is appended to its ring
-        from the worker thread.
+        Optional flight recorder; every verdict is appended to its ring.
     """
 
     def __init__(
         self,
         detector: Detector,
         *,
-        queue_capacity: int = 256,
-        policy: OverflowPolicy | str = OverflowPolicy.BLOCK,
         batch_size: int = 8,
         updater: OnlineUpdater | None = None,
         on_result: Callable[[StreamVerdict], None] | None = None,
@@ -96,109 +87,35 @@ class ShardedWorkerPool:
         self.updater = updater
         self.on_result = on_result
         self.recorder = recorder
-        self.queue: BoundedQueue[tuple[int, StreamMessage, float]] = BoundedQueue(
-            queue_capacity, policy, name="classify"
-        )
         self.updated = 0
-        self._update_lock = threading.Lock()
-        self._idle = threading.Condition()
-        self._inflight = 0
-        self._failure: BaseException | None = None
+        self._pending: list[tuple[int, StreamMessage, float]] = []
         self._registry = get_registry()
-        self._thread = threading.Thread(
-            target=self._worker, name="vprofile-classify", daemon=True
-        )
-        self._thread.start()
 
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
-    def submit(self, seq: int, message: StreamMessage) -> bool:
-        """Enqueue one message; False when the overflow policy dropped it.
-
-        Blocks under the ``BLOCK`` policy when the queue is full — that
-        is the backpressure reaching the ingestion stage.  A worker that
-        fails closes the queue, so a producer blocked here wakes up and
-        gets the failure instead of waiting forever.
-        """
-        if self._failure is not None:
-            raise StreamError("worker pool failed") from self._failure
+    def submit(self, seq: int, message: StreamMessage) -> None:
+        """Collect one message for the next :meth:`flush`."""
         ingest_t = monotonic() if self._registry.enabled else 0.0
+        self._pending.append((seq, message, ingest_t))
+
+    def flush(self) -> None:
+        """Classify every collected message, in order, on this thread.
+
+        Raises :class:`StreamError`, with the cause chained, when the
+        kernel, the recorder or the ``on_result`` callback fails.
+        """
+        if not self._pending:  # most chunks carry no complete message
+            return
+        pending, self._pending = self._pending, []
         try:
-            accepted = self.queue.put((seq, message, ingest_t))
-        except QueueClosed as exc:
-            raise StreamError("worker pool failed") from (self._failure or exc)
-        if self._registry.enabled:
-            self._registry.gauge(
-                QUEUE_DEPTH_METRIC, help="Messages waiting in the classification queue"
-            ).set(self.queue.depth)
-            if not accepted:
-                self._registry.counter(
-                    DROPPED_METRIC, help="Messages dropped by queue overflow policies"
-                ).inc()
-        return accepted
+            for start in range(0, len(pending), self.batch_size):
+                self._classify_batch(pending[start : start + self.batch_size])
+        except Exception as exc:
+            raise StreamError(f"stream classification failed: {exc}") from exc
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def drain(self) -> None:
-        """Block until every accepted message has been classified."""
-        with self._idle:
-            while self.queue.depth or self._inflight:
-                if self._failure is not None:
-                    raise StreamError("worker pool failed") from self._failure
-                self._idle.wait(0.05)
-        if self._failure is not None:
-            raise StreamError("worker pool failed") from self._failure
-
-    def close(self) -> None:
-        """Signal end-of-stream and join the worker."""
-        self.queue.close()
-        self._thread.join()
-        if self._failure is not None:
-            raise StreamError("worker pool failed") from self._failure
-
-    @property
-    def dropped(self) -> int:
-        return self.queue.dropped
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-    def _worker(self) -> None:
-        def mark_inflight(n: int) -> None:
-            # Runs under the queue lock: the dequeue and the in-flight
-            # count change atomically from drain()'s point of view.
-            self._inflight = n
-
-        try:
-            while True:
-                try:
-                    batch = self.queue.get_batch(
-                        self.batch_size, on_batch=mark_inflight
-                    )
-                except QueueClosed:
-                    return
-                try:
-                    self._classify_batch(batch)
-                finally:
-                    self._inflight = 0
-                    with self._idle:
-                        self._idle.notify_all()
-        except BaseException as exc:  # surface, don't die silently
-            self._failure = exc
-            self.queue.close()
-            with self._idle:
-                self._idle.notify_all()
-
-    def _classify_batch(self, batch: list) -> None:
-        vectors = np.stack([item[1].edge_set.vector for item in batch])
-        sas = [item[1].edge_set.source_address for item in batch]
-        with self._update_lock:
-            results, folded = self.detector.classify_and_update(
-                vectors, sas, self.updater
-            )
-            self.updated += folded  # under the lock: VPL301
+    def _classify_batch(self, batch: list[tuple[int, StreamMessage, float]]) -> None:
+        vectors = np.stack([message.edge_set.vector for _, message, _ in batch])
+        sas = [message.edge_set.source_address for _, message, _ in batch]
+        results, folded = self.detector.classify_and_update(vectors, sas, self.updater)
+        self.updated += folded
         registry = self._registry
         for (seq, message, ingest_t), result in zip(batch, results):
             if registry.enabled and ingest_t:

@@ -1,5 +1,10 @@
 """Fingerprint estimation: the inverse problem must close the loop."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,3 +132,22 @@ class TestRoundTrip:
         distance = euclidean_distance(real_set.vector, synth_set.vector)
         swing = 2.05 / 10 * 65535  # full dominant swing in counts
         assert distance < 0.1 * swing  # within 10 % of the swing overall
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """The least-squares solver is imported by the fit, not by the package.
+
+    ``repro.cli`` reaches this module through ``repro.acquisition``; an
+    eager import made every command pay ~0.6 s for ``scipy.optimize``.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -86,7 +86,7 @@ class TestRegistry:
         assert obs.NULL_REGISTRY.collect() == []
 
     # A /metrics scrape or a time-series sample reads the registry while
-    # the stream worker creates children; readers must hold a snapshot.
+    # the stream runtime creates children; readers must hold a snapshot.
     def test_families_iterator_survives_reset(self):
         registry = obs.MetricsRegistry()
         registry.counter("a_total")

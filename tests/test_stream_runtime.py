@@ -1,31 +1,28 @@
-"""The streaming supervisor: verdict parity, the worker, checkpoint/resume."""
+"""The streaming supervisor: verdict parity, inline classification, checkpoint/resume."""
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.acquisition.segmentation import assemble_stream, segment_capture
-from repro.core.edge_extraction import ExtractedEdgeSet, extract_many
+from repro.core.edge_extraction import extract_many
 from repro.core.pipeline import VProfilePipeline
 from repro.errors import StreamError
 from repro.stream import (
     CHUNKS_METRIC,
     LATENCY_METRIC,
-    QUEUE_DEPTH_METRIC,
-    OverflowPolicy,
     ReplaySource,
     StreamConfig,
     StreamRuntime,
+    StreamTelemetry,
+    TelemetryConfig,
+    StreamingExtractor,
     load_checkpoint,
 )
-from repro.stream.extractor import StreamMessage
-from repro.stream.workers import ShardedWorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -83,22 +80,74 @@ class TestHijackInjection:
         assert first.injected_attacks == second.injected_attacks
 
 
-class TestBackpressure:
-    def test_drop_newest_loses_messages(self, stream_pipeline, stream):
-        config = StreamConfig(
-            queue_capacity=1,
-            policy=OverflowPolicy.DROP_NEWEST,
-            batch_size=1,
+class TestInlineClassification:
+    def test_run_starts_no_thread(self, stream_pipeline, stream):
+        pipeline = stream_pipeline(online_update=True)
+        telemetry = StreamTelemetry(
+            TelemetryConfig(), model=pipeline.model, margin=pipeline.config.margin
         )
-        report = stream_pipeline().stream(ReplaySource(stream, len(stream)), config)
-        clean = stream_pipeline().stream(ReplaySource(stream, len(stream)))
-        assert report.dropped > 0
-        assert report.messages == clean.messages - report.dropped
+        on_verdict = telemetry.on_verdict
+        caller = threading.current_thread()
+        before = set(threading.enumerate())
+        seen: list[tuple[threading.Thread, set[threading.Thread]]] = []
 
-    def test_block_policy_is_lossless(self, stream_pipeline, stream):
-        config = StreamConfig(queue_capacity=1, batch_size=1)
-        report = stream_pipeline().stream(ReplaySource(stream, len(stream)), config)
-        assert report.dropped == 0
+        def spy(verdict):
+            seen.append((threading.current_thread(), set(threading.enumerate())))
+            on_verdict(verdict)
+
+        telemetry.on_verdict = spy
+        report = pipeline.stream(
+            ReplaySource(stream, 4096), StreamConfig(telemetry=telemetry)
+        )
+        assert len(seen) == report.messages > 0
+        for thread, alive in seen:
+            assert thread is caller
+            assert alive <= before
+
+    def test_each_chunk_is_classified_before_the_next_pull(
+        self, stream_pipeline, stream
+    ):
+        pipeline = stream_pipeline()
+        extractor = StreamingExtractor(pipeline.extraction)
+        extracted = [0]  # messages completed by the chunks pulled so far
+        verdicts: list = []
+        classified_at_pull: list[tuple[int, int]] = []
+
+        class Watched(ReplaySource):
+            def chunks(self, start_chunk=0):
+                for chunk in super().chunks(start_chunk):
+                    classified_at_pull.append((extracted[0], len(verdicts)))
+                    extracted[0] += len(extractor.push(chunk))
+                    yield chunk
+
+        telemetry = StreamTelemetry(
+            TelemetryConfig(), model=pipeline.model, margin=pipeline.config.margin
+        )
+        telemetry.on_verdict = verdicts.append
+        report = pipeline.stream(
+            Watched(stream, 4096), StreamConfig(telemetry=telemetry)
+        )
+        assert report.messages > 0
+        for completed, classified in classified_at_pull:
+            assert classified == completed
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_call_size_does_not_move_verdicts(self, stream_pipeline, stream, batch_size):
+        config = dict(hijack_probability=0.3, hijack_seed=4)
+        whole = stream_pipeline(online_update=True).stream(
+            ReplaySource(stream, len(stream)),
+            StreamConfig(batch_size=len(stream), **config),
+        )
+        chunked = stream_pipeline(online_update=True).stream(
+            ReplaySource(stream, 4096), StreamConfig(batch_size=batch_size, **config)
+        )
+        assert whole.chunks == 1
+        assert whole.updated > 0 and whole.anomalies > 0
+        assert chunked.updated == whole.updated
+        # DetectionResult equality compares min_distance and slack too.
+        assert [(v.seq, v.result) for v in chunked.verdicts] == [
+            (v.seq, v.result) for v in whole.verdicts
+        ]
 
 
 class TestCheckpointResume:
@@ -172,48 +221,56 @@ class TestRuntimeContract:
         finally:
             obs.set_registry(previous)
         assert registry.get(CHUNKS_METRIC).value > 0
-        assert registry.get(QUEUE_DEPTH_METRIC) is not None
         latency = registry.get(LATENCY_METRIC)
         assert latency is not None and latency.count > 0
         assert registry.get("vprofile_messages_total").value > 0
 
 
-class _FailingDetector:
-    """Classifies nothing: every batch stalls, then raises."""
+class TestClassificationFailure:
+    def test_detector_failure_raises_stream_error(
+        self, stream_pipeline, stream, monkeypatch
+    ):
+        pipeline = stream_pipeline()
+        detector = pipeline.detector
+        kernel = detector.classify_and_update
+        calls = []
 
-    margin = 0.0
+        def fail_on_third_call(vectors, sas, updater=None):
+            calls.append(len(sas))
+            if len(calls) == 3:
+                raise RuntimeError("classify failed")
+            return kernel(vectors, sas, updater)
 
-    def classify_and_update(self, vectors, sas, updater=None):
-        time.sleep(0.5)
-        raise RuntimeError("classify failed")
+        monkeypatch.setattr(detector, "classify_and_update", fail_on_third_call)
+        with pytest.raises(StreamError) as info:
+            pipeline.stream(ReplaySource(stream, 4096))
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert len(calls) == 3
 
-
-class TestWorkerFailure:
-    def test_blocked_producer_gets_the_failure(self):
-        pool = ShardedWorkerPool(_FailingDetector(), queue_capacity=2, batch_size=1)
-        message = StreamMessage(
-            edge_set=ExtractedEdgeSet(
-                source_address=0x10, vector=np.zeros(4), metadata={}
-            ),
-            start_s=0.0,
-            index=0,
+    def test_callback_failure_raises_stream_error(self, stream_pipeline, stream):
+        pipeline = stream_pipeline()
+        telemetry = StreamTelemetry(
+            TelemetryConfig(), model=pipeline.model, margin=pipeline.config.margin
         )
-        outcome: list[BaseException | None] = []
 
-        def produce():
-            try:
-                for seq in range(10):
-                    pool.submit(seq, message)
-            except BaseException as exc:
-                outcome.append(exc)
-            else:
-                outcome.append(None)
+        def broken(verdict):
+            raise ValueError("callback failed")
 
-        producer = threading.Thread(target=produce, daemon=True)
-        producer.start()
-        producer.join(10)
-        assert not producer.is_alive(), "producer hung on a dead worker"
-        assert isinstance(outcome[0], StreamError)
-        assert isinstance(outcome[0].__cause__, RuntimeError)
-        with pytest.raises(StreamError):
-            pool.close()
+        telemetry.on_verdict = broken
+        with pytest.raises(StreamError) as info:
+            pipeline.stream(ReplaySource(stream, 4096), StreamConfig(telemetry=telemetry))
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_unwritable_flight_dir_at_stream_end_raises_stream_error(
+        self, stream_pipeline, stream, tmp_path
+    ):
+        # post_alert outlasts the stream, so the first dump fires in finish().
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config = TelemetryConfig(flight_dir=blocker / "flight", post_alert=10**6)
+        with pytest.raises(StreamError) as info:
+            stream_pipeline().stream(
+                ReplaySource(stream, 4096),
+                StreamConfig(telemetry=config, hijack_probability=0.3),
+            )
+        assert isinstance(info.value.__cause__, OSError)
