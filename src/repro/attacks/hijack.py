@@ -6,12 +6,14 @@ comes from the *compromised* ECU's transceiver — only the claimed SA
 lies.  The paper simulates this by replaying recorded traffic and
 rewriting each message's SA in software with 20 % probability to an SA
 belonging to a different cluster (Section 4.1); we do the same at the
-edge-set level.
+edge-set level: over a whole replay (:func:`apply_hijack`, for the paper
+tables) and per message in flight (:class:`InFlightHijack`, for the
+streaming runtime).  They draw differently, so they stay separate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,3 +95,33 @@ def apply_hijack(
         else:
             labelled.append(LabelledEdgeSet(edge_set, is_attack=False, true_sender=sender))
     return labelled
+
+
+@dataclass
+class InFlightHijack:
+    """Per-message SA rewrite in flight; rewritten seqs collect in ``injected``.
+
+    Message ``seq`` draws from ``default_rng([seed, seq])``, not from a
+    shared stream, so a resumed run injects exactly the attacks the
+    uninterrupted run would have.  The forged SA is drawn uniformly from
+    the SAs of *other* clusters, in ``sa_to_cluster`` order.
+    """
+
+    sa_to_cluster: Mapping[int, int]
+    probability: float
+    seed: int = 0
+    injected: list[int] = field(default_factory=list)
+
+    def __call__(self, seq: int, edge_set: ExtractedEdgeSet) -> ExtractedEdgeSet:
+        rng = np.random.default_rng([self.seed, seq])
+        if rng.random() >= self.probability:
+            return edge_set
+        own_cluster = self.sa_to_cluster.get(edge_set.source_address)
+        candidates = [
+            sa for sa, cluster in self.sa_to_cluster.items() if cluster != own_cluster
+        ]
+        if not candidates:
+            return edge_set
+        self.injected.append(seq)
+        forged = int(candidates[int(rng.integers(len(candidates)))])
+        return replace(edge_set, source_address=forged)

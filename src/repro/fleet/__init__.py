@@ -6,8 +6,9 @@ This subsystem lifts that to a fleet: an asyncio gateway
 at once — REST ingest or persistent WebSocket connections, both spoken
 by the stdlib-only codec in :mod:`repro.fleet.protocol` — and routes
 each tenant to its own :class:`~repro.fleet.tenant.TenantEngine`, the
-single-vehicle slice of the streaming runtime (incremental extraction,
-vectorised detection, Algorithm-4 online updates, profile health).
+streaming runtime's chunk engine (incremental extraction, vectorised
+detection, Algorithm-4 online updates, profile health) plus tenant
+metadata.
 
 Memory stays bounded by the supervisor
 (:mod:`repro.fleet.supervisor`): beyond ``max_resident`` tenants, the

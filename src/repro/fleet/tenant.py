@@ -1,15 +1,13 @@
 """Per-vehicle detection state inside the fleet gateway.
 
-One :class:`TenantEngine` is the single-vehicle slice of the streaming
-runtime: the same :class:`~repro.stream.extractor.StreamingExtractor`
-carrying Algorithm-1 state across chunk boundaries, the same
-:meth:`~repro.core.detection.Detector.classify_and_update` kernel, the
-same Algorithm-4 :class:`~repro.core.online_update.OnlineUpdater`
-folding OK verdicts into the tenant's *own* profile store.  Because
-every piece is the ``repro.stream`` machinery, a tenant evicted to a
+A :class:`TenantEngine` is the streaming runtime's
+:class:`~repro.stream.workers.ChunkEngine` — extraction, the Algorithm
+3→4 kernel folding OK verdicts into the tenant's *own* profile store,
+profile health, checkpoint/restore — plus the tenant's metadata, a ring
+of recent verdicts and their JSON projection.  So a tenant evicted to a
 :mod:`repro.stream.checkpoint` directory and rehydrated later produces
-the byte-identical verdict sequence an uninterrupted tenant would —
-the property the fleet supervisor's residency budget leans on.
+the byte-identical verdict sequence an uninterrupted tenant would — the
+property the fleet supervisor's residency budget leans on.
 
 Engines are driven from the gateway's event loop, one chunk at a time
 per tenant (the per-tenant asyncio lock serialises access), so the
@@ -31,13 +29,13 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.core.detection import Detector
-from repro.core.model import Metric, VProfileModel
+from repro.core.model import VProfileModel
 from repro.core.online_update import OnlineUpdater
-from repro.errors import FleetError
+from repro.errors import FleetError, StreamError
 from repro.obs.health import ProfileHealthMonitor
-from repro.stream.checkpoint import load_checkpoint, save_checkpoint
+from repro.stream.checkpoint import load_checkpoint
 from repro.stream.chunks import SampleChunk
-from repro.stream.extractor import StreamingExtractor
+from repro.stream.workers import ChunkEngine
 from repro.vehicles.profiles import VehicleConfig, sterling_acterra, vehicle_a, vehicle_b
 
 #: Built-in synthetic vehicles a tenant may register as.
@@ -178,8 +176,9 @@ def model_from_b64(text: str) -> VProfileModel:
 # The engine
 # ----------------------------------------------------------------------
 
-class TenantEngine:
-    """One vehicle's streaming detection state.
+class TenantEngine(ChunkEngine):
+    """One vehicle's streaming detection state: a chunk engine plus the
+    tenant's metadata, its verdict ring and the JSON projection.
 
     Parameters
     ----------
@@ -214,35 +213,32 @@ class TenantEngine:
         retrain_bound: int | None = None,
         verdict_ring: int = 4096,
     ) -> None:
+        super().__init__(
+            Detector(model, margin=margin),
+            metadata={"tenant": tenant_id, "vehicle": vehicle},
+            updater=OnlineUpdater(model, retrain_bound) if online_update else None,
+            health=ProfileHealthMonitor(model),
+        )
         self.tenant_id = tenant_id
         self.vehicle = vehicle
         self.params = params
-        self.margin = float(margin)
         self.online_update = bool(online_update)
         self.retrain_bound = retrain_bound
-        self.detector = Detector(model, margin=self.margin)
-        self.updater: OnlineUpdater | None = None
-        if self.online_update:
-            self.updater = OnlineUpdater(model, retrain_bound)
-        self.extractor = StreamingExtractor(
-            metadata={"tenant": tenant_id, "vehicle": vehicle}
-        )
-        # Health pins inverse-covariance baselines; Euclidean models
-        # have none, so those tenants run without drift monitoring.
-        self.health: ProfileHealthMonitor | None = None
-        if model.metric is Metric.MAHALANOBIS:
-            self.health = ProfileHealthMonitor(model)
-        if self.updater is not None and self.health is not None:
-            self.updater.observer = self.health.record_update
-        self.next_chunk = 0
-        self.next_seq = 0
-        self.chunks = 0
-        self.samples = 0
-        self.frames = 0
         self.anomalies = 0
-        self.updated = 0
         self.verdict_ring = int(verdict_ring)
         self._verdicts: list[dict[str, Any]] = []
+
+    @property
+    def chunks(self) -> int:
+        return self.next_chunk
+
+    @property
+    def frames(self) -> int:
+        return self.next_seq
+
+    @property
+    def samples(self) -> int:
+        return self.extractor.stats.samples
 
     # ------------------------------------------------------------------
     # Hot path (runs on the gateway's event loop)
@@ -250,33 +246,20 @@ class TenantEngine:
     def process_chunk(self, chunk: SampleChunk) -> list[dict[str, Any]]:
         """Classify every message completed by ``chunk``; return verdicts.
 
-        Chunks must arrive in order: the incremental extractor carries
-        sample state across boundaries, so a gap or replay would
-        silently corrupt every later verdict.
+        Raises :class:`FleetError` when the engine rejects the chunk, an
+        out-of-order one included.
         """
-        if chunk.seq != self.next_chunk:
-            raise FleetError(
-                f"tenant {self.tenant_id}: out-of-order chunk "
-                f"{chunk.seq} (expected {self.next_chunk})"
-            )
-        messages = self.extractor.push(chunk)
-        self.next_chunk += 1
-        self.chunks += 1
-        self.samples += len(chunk)
-        if not messages:
-            return []
-        results, folded = self.detector.classify_and_update(
-            np.stack([m.edge_set.vector for m in messages]),
-            [m.edge_set.source_address for m in messages],
-            self.updater,
-        )
-        self.updated += folded
-        verdicts: list[dict[str, Any]] = []
-        for message, result in zip(messages, results):
-            if self.health is not None:
-                self.health.record_verdict(result.source_address, result.is_anomaly)
-            verdict = {
-                "seq": self.next_seq,
+        try:
+            verdicts = self.process(chunk)
+        except StreamError as exc:
+            raise FleetError(f"tenant {self.tenant_id}: {exc}") from exc
+        wire: list[dict[str, Any]] = []
+        for verdict in verdicts:
+            result = verdict.result
+            if result.is_anomaly:
+                self.anomalies += 1
+            wire.append({
+                "seq": verdict.seq,
                 "sa": int(result.source_address),
                 "verdict": "anomaly" if result.is_anomaly else "ok",
                 "reason": result.reason.value if result.reason else None,
@@ -284,18 +267,13 @@ class TenantEngine:
                 "predicted_cluster": result.predicted_cluster,
                 "min_distance": result.min_distance,
                 "slack": result.slack,
-                "start_s": float(message.start_s),
-            }
-            self.next_seq += 1
-            self.frames += 1
-            if result.is_anomaly:
-                self.anomalies += 1
-            verdicts.append(verdict)
-        self._verdicts.extend(verdicts)
+                "start_s": float(verdict.message.start_s),
+            })
+        self._verdicts.extend(wire)
         overflow = len(self._verdicts) - self.verdict_ring
         if overflow > 0:
             del self._verdicts[:overflow]
-        return verdicts
+        return wire
 
     def recent_verdicts(
         self, since: int = 0, limit: int = 256
@@ -309,7 +287,7 @@ class TenantEngine:
         return {
             "tenant": self.tenant_id,
             "vehicle": self.vehicle,
-            "margin": self.margin,
+            "margin": self.detector.margin,
             "online_update": self.online_update,
             "chunks": self.chunks,
             "samples": self.samples,
@@ -324,8 +302,7 @@ class TenantEngine:
 
     def health_report(self) -> dict[str, Any]:
         """The ``/tenants/<id>/health`` payload."""
-        if self.health is None:
-            return {"overall": "unavailable", "sources": {}}
+        assert self.health is not None
         return self.health.verdicts()
 
     # ------------------------------------------------------------------
@@ -334,20 +311,7 @@ class TenantEngine:
     def checkpoint(self, directory: str | Path) -> None:
         """Persist everything needed to continue this tenant elsewhere."""
         directory = Path(directory)
-        # A tenant evicted before its first chunk has no segmentation
-        # state to carry; a fresh extractor on rehydrate is equivalent.
-        extractor_state = (
-            self.extractor.state_dict() if self.chunks else None
-        )
-        save_checkpoint(
-            directory,
-            model=self.detector.model,
-            extraction=self.extractor.extraction,
-            extractor_state=extractor_state,
-            next_chunk=self.next_chunk,
-            next_seq=self.next_seq,
-            margin=self.margin,
-        )
+        super().checkpoint(directory)
         meta = {
             "tenant": self.tenant_id,
             "vehicle": self.vehicle,
@@ -383,28 +347,18 @@ class TenantEngine:
         except json.JSONDecodeError as exc:
             raise FleetError(f"corrupt tenant sidecar: {exc}") from exc
         checkpoint = load_checkpoint(directory)
-        params = CaptureParams.from_payload(meta)
         bound = meta.get("retrain_bound")
         engine = cls(
             str(meta["tenant"]),
             vehicle=str(meta.get("vehicle", "?")),
             model=checkpoint.model,
-            params=params,
+            params=CaptureParams.from_payload(meta),
             margin=checkpoint.margin,
             online_update=bool(meta.get("online_update", False)),
             retrain_bound=None if bound is None else int(bound),
             verdict_ring=int(meta.get("verdict_ring", 4096)),
         )
-        if checkpoint.extractor_state is not None:
-            engine.extractor.load_state(checkpoint.extractor_state)
-            engine.extractor.extraction = checkpoint.extraction
-        elif checkpoint.extraction is not None:
-            engine.extractor.extraction = checkpoint.extraction
-        engine.next_chunk = checkpoint.next_chunk
-        engine.next_seq = checkpoint.next_seq
-        engine.chunks = int(meta.get("chunks", 0))
-        engine.samples = int(meta.get("samples", 0))
-        engine.frames = int(meta.get("frames", 0))
+        engine.restore(checkpoint)
         engine.anomalies = int(meta.get("anomalies", 0))
         engine.updated = int(meta.get("online_updates", 0))
         return engine

@@ -134,13 +134,15 @@ class ProfileHealthMonitor:
         # Pin the baseline: frozen copies, so later Algorithm-4 updates
         # to the live model cannot move the yardstick.
         self._baseline_mean: dict[str, np.ndarray] = {}
-        self._baseline_inv_cov: dict[str, np.ndarray] = {}
+        # Euclidean clusters carry no inverse covariance, hence no drift.
+        self._baseline_inv_cov: dict[str, np.ndarray | None] = {}
         for cluster in model.clusters:
             self._baseline_mean[cluster.name] = np.array(
                 cluster.mean, dtype=np.float64, copy=True
             )
-            self._baseline_inv_cov[cluster.name] = np.array(
-                cluster.inv_covariance, dtype=np.float64, copy=True
+            inv_cov = cluster.inv_covariance
+            self._baseline_inv_cov[cluster.name] = (
+                None if inv_cov is None else np.array(inv_cov, dtype=np.float64)
             )
         self._windows: dict[int, _SourceWindow] = {}
         self._lock = threading.Lock()
@@ -167,12 +169,13 @@ class ProfileHealthMonitor:
     # Assessment
     # ------------------------------------------------------------------
     def drift_distance(self, source_address: int) -> float:
-        """Mahalanobis distance of the live mean from the pinned baseline."""
+        """Mahalanobis distance of the live mean from the pinned baseline;
+        NaN (no evidence) for an unknown SA or a Euclidean cluster."""
         cluster = self._cluster_for(source_address)
-        if cluster is None:
+        inv_cov = None if cluster is None else self._baseline_inv_cov[cluster.name]
+        if cluster is None or inv_cov is None:
             return float("nan")
         baseline_mean = self._baseline_mean[cluster.name]
-        inv_cov = self._baseline_inv_cov[cluster.name]
         delta = np.asarray(cluster.mean, dtype=np.float64) - baseline_mean
         return float(np.sqrt(delta @ inv_cov @ delta))
 

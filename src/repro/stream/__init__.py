@@ -11,11 +11,12 @@ that just ended legitimate?" — against a continuous digitizer stream:
   incremental message segmentation and Algorithm 1 extraction with
   state carried across chunk boundaries, provably equivalent to the
   batch path on the concatenated stream;
-* :mod:`repro.stream.workers` — the classification stage: each chunk's
-  messages go through Algorithm 3 and then 4 in vectorised batches, on
-  the ingest thread, before the next chunk is pulled;
-* :mod:`repro.stream.runtime` — the supervisor: hijack
-  injection, checkpoint/resume, obs metrics;
+* :mod:`repro.stream.workers` — the chunk engine, one chunk in and its
+  verdicts out: order check, extraction, Algorithm 3 and then 4 in
+  vectorised batches, health, checkpoint/restore; the fleet gateway's
+  tenants run the same engine;
+* :mod:`repro.stream.runtime` — the supervisor: pulls chunks into the
+  engine, checkpoint schedule and resume, alerts, obs metrics;
 * :mod:`repro.stream.telemetry` — longitudinal telemetry riding on the
   runtime: metrics time-series, per-SA profile health, and the alert
   flight recorder (see :mod:`repro.obs`);
@@ -54,7 +55,7 @@ from repro.stream.runtime import (
 )
 from repro.stream.segmenter import StreamingSegmenter
 from repro.stream.telemetry import StreamTelemetry, TelemetryConfig
-from repro.stream.workers import LATENCY_METRIC, ShardedWorkerPool, StreamVerdict
+from repro.stream.workers import LATENCY_METRIC, ChunkEngine, ShardedWorkerPool, StreamVerdict
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -79,6 +80,7 @@ __all__ = [
     "StreamTelemetry",
     "TelemetryConfig",
     "LATENCY_METRIC",
+    "ChunkEngine",
     "ShardedWorkerPool",
     "StreamVerdict",
 ]

@@ -81,7 +81,11 @@ class ChunkSource(Protocol):
     metadata: dict[str, Any]
 
     def chunks(self, start_chunk: int = 0) -> Iterator[SampleChunk]:
-        """Iterate chunks in order, starting at chunk ``start_chunk``."""
+        """Iterate chunks in order, starting at chunk ``start_chunk``.
+
+        Raises :class:`StreamError` when ``start_chunk`` is past the
+        source's last chunk; starting exactly at the end yields nothing.
+        """
         ...
 
 
@@ -138,6 +142,7 @@ class ReplaySource:
         return cls.from_traces(load_traces(path), chunk_samples)
 
     def chunks(self, start_chunk: int = 0) -> Iterator[SampleChunk]:
+        _check_start(start_chunk, self.n_chunks)
         samples = self.stream.counts
         size = self.chunk_samples
         for seq in range(start_chunk, self.n_chunks):
@@ -150,6 +155,15 @@ class ReplaySource:
                 resolution_bits=self.resolution_bits,
                 bitrate=self.bitrate,
             )
+
+
+def _check_start(start_chunk: int, n_chunks: int) -> None:
+    """Reject a resume past the end: it would stream nothing and look fine."""
+    if start_chunk > n_chunks:
+        raise StreamError(
+            f"cannot start at chunk {start_chunk}: the source has only "
+            f"{n_chunks} chunks"
+        )
 
 
 @dataclass
@@ -210,6 +224,8 @@ class LiveSource:
         """
         vehicle = self.vehicle
         fs = vehicle.sample_rate
+        total_samples = int(round(self.duration_s * fs))
+        _check_start(start_chunk, -(-total_samples // self.chunk_samples))
         rng = np.random.default_rng(self.seed)
         generator = TrafficGenerator(
             schedules=[
@@ -240,7 +256,6 @@ class LiveSource:
         idle_code = int(round(AdcConfig(
             resolution_bits=vehicle.resolution_bits
         ).volts_to_counts(0.0)))
-        total_samples = int(round(self.duration_s * fs))
 
         pending: list[np.ndarray] = []
         buffered = 0

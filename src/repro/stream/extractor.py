@@ -93,9 +93,10 @@ class StreamingExtractor:
 
     def push(self, chunk: SampleChunk) -> list[StreamMessage]:
         """Consume one chunk; return the messages it completed."""
+        traces = self.segmenter.push(chunk)
         self.stats.chunks += 1
         self.stats.samples += len(chunk)
-        return self._extract(self.segmenter.push(chunk))
+        return self._extract(traces)
 
     def finish(self) -> list[StreamMessage]:
         """Flush the end-of-stream remainder."""

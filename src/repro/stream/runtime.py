@@ -1,22 +1,21 @@
 """The streaming supervisor: chunks in, ordered verdicts and alerts out.
 
-:class:`StreamRuntime` glues the subsystem together around a trained
-:class:`VProfilePipeline`:
+:class:`StreamRuntime` runs one trained :class:`VProfilePipeline` over
+a :class:`ChunkSource`.  It builds a
+:class:`~repro.stream.workers.ChunkEngine` around the pipeline's
+detector and Algorithm 4 updater, so OK verdicts fold back into the
+*shared* profile store and drift adaptation learned on the stream is
+visible to every other consumer of the model.  Then it pulls chunks from
+the source into the engine, one at a time, on the calling thread.
+Around that loop it restores from a checkpoint, checkpoints at chunk
+boundaries, drives the optional telemetry, turns anomalies into alerts
+and reports per-stage metrics through :mod:`repro.obs`.
 
-* the **ingestion stage** pulls chunks from a :class:`ChunkSource` and
-  feeds the incremental extractor;
-* the :class:`ShardedWorkerPool` classifies each chunk's messages in
-  vectorised batches before the next chunk is pulled, on the same
-  thread; OK verdicts optionally fold back into the *shared* profile
-  store through the pipeline's Algorithm 4 updater, so drift adaptation
-  learned on the stream is visible to every other consumer of the model;
-* the supervisor checkpoints at chunk boundaries, where no message is
-  waiting, restores from a checkpoint, and reports per-stage metrics
-  through :mod:`repro.obs`.
-
-An optional hijack injector rewrites source addresses in flight with a
-seeded probability — the streaming twin of the paper's replay-and-
-rewrite attack methodology, used by the CLI to demonstrate alerts.
+An optional hijack injector
+(:class:`~repro.attacks.hijack.InFlightHijack`) rewrites source
+addresses in flight with a seeded probability — the streaming twin of
+the paper's replay-and-rewrite attack methodology, used by the CLI to
+demonstrate alerts.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from repro.attacks.hijack import InFlightHijack
 from repro.core.detection import AnomalyReason
 from repro.core.pipeline import VProfilePipeline
 from repro.errors import StreamError
@@ -34,11 +32,10 @@ from repro.ids.alerts import Alert, AlertLog
 from repro.obs.clock import monotonic
 from repro.obs.events import get_event_log
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.stream.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from repro.stream.checkpoint import Checkpoint, load_checkpoint
 from repro.stream.chunks import ChunkSource
-from repro.stream.extractor import StreamingExtractor, StreamMessage
 from repro.stream.telemetry import StreamTelemetry, TelemetryConfig
-from repro.stream.workers import ShardedWorkerPool, StreamVerdict
+from repro.stream.workers import ChunkEngine, StreamVerdict
 
 #: Chunks ingested by the runtime.
 CHUNKS_METRIC = "vprofile_stream_chunks_total"
@@ -142,53 +139,41 @@ class StreamRuntime:
             )
             pipeline.load_model(checkpoint.model, checkpoint.extraction)
 
-        if not pipeline.is_trained:
+        model = pipeline.model
+        if model is None:
             raise StreamError("the pipeline must be trained (or resumed) to stream")
-
-        extractor = StreamingExtractor(
-            pipeline.extraction, metadata=dict(source.metadata)
-        )
-        start_chunk = 0
-        seq = 0
-        if checkpoint is not None:
-            if checkpoint.extractor_state is not None:
-                extractor.load_state(checkpoint.extractor_state)
-                extractor.extraction = checkpoint.extraction
-            start_chunk = checkpoint.next_chunk
-            seq = checkpoint.next_seq
 
         registry = get_registry()
         events = get_event_log()
         report = StreamReport()
-        results: list[StreamVerdict] = []
 
         telemetry: StreamTelemetry | None = None
-        if config.telemetry is not None:
-            if isinstance(config.telemetry, StreamTelemetry):
-                telemetry = config.telemetry
-            else:
-                model = pipeline.model
-                assert model is not None  # is_trained checked above
-                telemetry = StreamTelemetry(
-                    config.telemetry,
-                    model=model,
-                    margin=pipeline.config.margin,
-                )
-            telemetry.attach_updater(pipeline.updater)
+        if isinstance(config.telemetry, StreamTelemetry):
+            telemetry = config.telemetry
+        elif config.telemetry is not None:
+            telemetry = StreamTelemetry(
+                config.telemetry, model=model, margin=pipeline.config.margin
+            )
         report.telemetry = telemetry
 
-        def collect(verdict: StreamVerdict) -> None:
-            if telemetry is not None:
-                telemetry.on_verdict(verdict)
-            results.append(verdict)
-
-        pool = ShardedWorkerPool(
+        hijack = None
+        if config.hijack_probability > 0:
+            hijack = InFlightHijack(
+                model.sa_to_cluster, config.hijack_probability, config.hijack_seed
+            )
+        engine = ChunkEngine(
             pipeline.detector,
+            extraction=pipeline.extraction,
+            metadata=dict(source.metadata),
             batch_size=config.batch_size,
             updater=pipeline.updater,
-            on_result=collect,
+            health=telemetry.health if telemetry is not None else None,
             recorder=telemetry.recorder if telemetry is not None else None,
+            rewrite=hijack,
         )
+        if checkpoint is not None:
+            engine.restore(checkpoint)
+        start_chunk = engine.next_chunk
         events.info(
             "stream.started",
             batch_size=config.batch_size,
@@ -196,6 +181,7 @@ class StreamRuntime:
             resumed=checkpoint is not None,
         )
 
+        results: list[StreamVerdict] = []
         t0 = monotonic()
         for chunk in source.chunks(start_chunk):
             report.chunks += 1
@@ -207,25 +193,25 @@ class StreamRuntime:
                 registry.counter(
                     SAMPLES_METRIC, help="Samples ingested by the stream runtime"
                 ).inc(len(chunk))
-            seq = self._classify_all(pool, extractor.push(chunk), seq, report)
+            results.extend(engine.process(chunk))
             if telemetry is not None:
                 telemetry.on_chunk()
             if (
                 config.checkpoint_dir is not None
                 and config.checkpoint_every_chunks > 0
-                and (chunk.seq + 1) % config.checkpoint_every_chunks == 0
+                and engine.next_chunk % config.checkpoint_every_chunks == 0
             ):
-                self._checkpoint(extractor, chunk.seq + 1, seq)
+                engine.checkpoint(config.checkpoint_dir)
                 report.checkpoints += 1
                 events.info(
                     "stream.checkpoint",
-                    next_chunk=chunk.seq + 1,
-                    next_seq=seq,
+                    next_chunk=engine.next_chunk,
+                    next_seq=engine.next_seq,
                     path=str(config.checkpoint_dir),
                 )
-        seq = self._classify_all(pool, extractor.finish(), seq, report)
-        if self.config.checkpoint_dir is not None and report.chunks:
-            self._checkpoint(extractor, start_chunk + report.chunks, seq)
+        results.extend(engine.finish())
+        if config.checkpoint_dir is not None and report.chunks:
+            engine.checkpoint(config.checkpoint_dir)
             report.checkpoints += 1
         if telemetry is not None:
             try:
@@ -236,8 +222,9 @@ class StreamRuntime:
 
         report.verdicts = results
         report.messages = len(results)
-        report.updated = pool.updated
-        report.extraction_failures = extractor.stats.extraction_failures
+        report.updated = engine.updated
+        report.injected_attacks = hijack.injected if hijack is not None else []
+        report.extraction_failures = engine.extractor.stats.extraction_failures
         if registry.enabled and report.extraction_failures:
             registry.counter(
                 EXTRACTION_FAILURES_METRIC,
@@ -275,72 +262,6 @@ class StreamRuntime:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _classify_all(
-        self,
-        pool: ShardedWorkerPool,
-        messages: list[StreamMessage],
-        seq: int,
-        report: StreamReport,
-    ) -> int:
-        """Hijack-inject, submit and classify one chunk's messages."""
-        probability = self.config.hijack_probability
-        for message in messages:
-            if probability > 0:
-                # Seed per sequence number, not from a shared stream:
-                # a resumed run must inject exactly the attacks the
-                # uninterrupted run would have injected at each seq.
-                rng = np.random.default_rng([self.config.hijack_seed, seq])
-                if rng.random() < probability:
-                    rewritten = self._hijack(message, rng)
-                    if rewritten is not None:
-                        message = rewritten
-                        report.injected_attacks.append(seq)
-            pool.submit(seq, message)
-            seq += 1
-        pool.flush()
-        return seq
-
-    def _hijack(
-        self, message: StreamMessage, rng: np.random.Generator
-    ) -> StreamMessage | None:
-        """Rewrite the claimed SA to one from a *different* cluster."""
-        from dataclasses import replace
-
-        model = self.pipeline.model
-        assert model is not None
-        true_sa = message.edge_set.source_address
-        own_cluster = model.sa_to_cluster.get(true_sa)
-        candidates = [
-            sa
-            for sa, cluster in model.sa_to_cluster.items()
-            if cluster != own_cluster
-        ]
-        if not candidates:
-            return None
-        forged = int(candidates[int(rng.integers(len(candidates)))])
-        return StreamMessage(
-            edge_set=replace(message.edge_set, source_address=forged),
-            start_s=message.start_s,
-            index=message.index,
-        )
-
-    def _checkpoint(
-        self, extractor: StreamingExtractor, next_chunk: int, next_seq: int
-    ) -> None:
-        assert self.config.checkpoint_dir is not None
-        model = self.pipeline.model
-        if model is None:
-            raise StreamError("cannot checkpoint an untrained pipeline")
-        save_checkpoint(
-            self.config.checkpoint_dir,
-            model=model,
-            extraction=extractor.extraction,
-            extractor_state=extractor.state_dict(),
-            next_chunk=next_chunk,
-            next_seq=next_seq,
-            margin=self.pipeline.config.margin,
-        )
-
     def _mirror_into_pipeline(
         self, report: StreamReport, registry: MetricsRegistry
     ) -> None:

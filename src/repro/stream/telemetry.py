@@ -5,16 +5,17 @@ components into one object the runtime can drive:
 
 * a :class:`~repro.obs.timeseries.TimeSeriesStore` sampled once per
   ingested chunk (rate-limited by its own interval);
-* a :class:`~repro.obs.health.ProfileHealthMonitor` fed every verdict
-  and every Algorithm-4 update decision;
+* a :class:`~repro.obs.health.ProfileHealthMonitor`, which the
+  runtime hands to its :class:`~repro.stream.workers.ChunkEngine`: the
+  engine feeds it every verdict and every Algorithm-4 update decision;
 * an optional :class:`~repro.obs.recorder.FlightRecorder` (enabled by
-  setting ``flight_dir``) that dumps forensics bundles on alert.
+  setting ``flight_dir``), which the engine also feeds and which dumps
+  forensics bundles on alert.
 
 The aggregator itself holds no locks: each component is internally
 thread-safe (the ``--serve`` endpoint reads them from its own threads),
 and the aggregator only ever delegates.  The runtime calls
-``on_verdict``, ``on_chunk`` and ``finish`` from the thread that runs
-the stream.
+``on_chunk`` and ``finish`` from the thread that runs the stream.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.model import VProfileModel
-from repro.core.online_update import OnlineUpdater
 from repro.obs.health import HealthConfig, ProfileHealthMonitor
 from repro.obs.recorder import FlightRecorder
 from repro.obs.timeseries import TimeSeriesStore
-from repro.stream.workers import StreamVerdict
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,6 @@ class StreamTelemetry:
     # ------------------------------------------------------------------
     # Hooks driven by the runtime
     # ------------------------------------------------------------------
-    def attach_updater(self, updater: OnlineUpdater | None) -> None:
-        """Route Algorithm-4 accept/reject decisions into the monitor."""
-        if updater is not None:
-            updater.observer = self.health.record_update
-
     def on_chunk(self) -> None:
         """Supervisor hook: advance telemetry once per ingested chunk.
 
@@ -114,12 +108,6 @@ class StreamTelemetry:
         if self.timeseries.due():
             self.health.export()
             self.timeseries.sample()
-
-    def on_verdict(self, verdict: StreamVerdict) -> None:
-        """Classification hook: feed one verdict into the monitor."""
-        self.health.record_verdict(
-            verdict.result.source_address, verdict.result.is_anomaly
-        )
 
     def finish(self) -> list[Path]:
         """End of run: flush pending dumps, final sample, export gauges."""

@@ -1,9 +1,10 @@
 """Every online entry point gives the same verdict bytes.
 
 ``VProfilePipeline.process`` (one trace at a time), the streaming
-runtime (queue batches of any size) and the fleet ``TenantEngine``
-(one batch per chunk) all run Algorithm 3 then Algorithm 4 per message,
-in order, through ``Detector.classify_and_update``.  So for the same
+runtime and the fleet ``TenantEngine`` (both through ``ChunkEngine``,
+in kernel calls of at most ``batch_size`` messages from one chunk) all
+run Algorithm 3 then Algorithm 4 per message, in order, through
+``Detector.classify_and_update``.  So for the same
 capture they must agree byte for byte, ``min_distance`` and ``slack``
 included, however the stream is chunked and batched and whether online
 updates are on or off.

@@ -9,6 +9,7 @@ import pytest
 from repro.acquisition.segmentation import assemble_stream
 from repro.acquisition.trace import VoltageTrace
 from repro.core.model import VProfileModel
+from repro.core.pipeline import PipelineConfig, VProfilePipeline
 from repro.errors import FleetError
 from repro.fleet.tenant import (
     CaptureParams,
@@ -158,6 +159,42 @@ class TestTenantEngine:
             engine.process_chunk(chunk)
         report = engine.health_report()
         assert report["overall"] != "unavailable"
+        assert report["sources"]
+
+    def test_health_sees_online_updates(
+        self, stream_vehicle, stream_model_file, fleet_chunks
+    ):
+        path, _ = stream_model_file
+        engine = TenantEngine(
+            "online",
+            vehicle="sterling",
+            model=VProfileModel.load(path),
+            params=CaptureParams.for_vehicle(stream_vehicle),
+            online_update=True,
+        )
+        for chunk in fleet_chunks:
+            engine.process_chunk(chunk)
+        assert engine.updated > 0
+        sources = engine.health_report()["sources"].values()
+        assert sum(source["updates_seen"] for source in sources) > 0
+
+    def test_health_report_graded_for_euclidean(
+        self, stream_vehicle, stream_train_session, fleet_chunks
+    ):
+        pipeline = VProfilePipeline(PipelineConfig(
+            metric="euclidean", sa_clusters=stream_vehicle.sa_clusters
+        ))
+        pipeline.train(stream_train_session.traces)
+        engine = TenantEngine(
+            "euclid",
+            vehicle="sterling",
+            model=pipeline.model,
+            params=CaptureParams.for_vehicle(stream_vehicle),
+        )
+        for chunk in fleet_chunks:
+            engine.process_chunk(chunk)
+        report = engine.health_report()
+        assert report["overall"] in ("healthy", "drifting", "suspect")
         assert report["sources"]
 
     def test_verdict_ring_is_bounded(

@@ -61,6 +61,13 @@ class TestReplaySource:
         with pytest.raises(StreamError):
             ReplaySource(stream, 0)
 
+    def test_start_past_the_end_raises(self, stream):
+        source = ReplaySource(stream, 4096)
+        n = source.n_chunks
+        assert list(source.chunks(start_chunk=n)) == []
+        with pytest.raises(StreamError, match=f"chunk {n + 1}: .* only {n} chunks"):
+            list(source.chunks(start_chunk=n + 1))
+
 
 class TestLiveSource:
     @pytest.fixture(scope="class")
@@ -88,6 +95,12 @@ class TestLiveSource:
         assert [c.seq for c in resumed] == [c.seq for c in full[5:]]
         for a, b in zip(resumed, full[5:]):
             np.testing.assert_array_equal(a.counts, b.counts)
+
+    def test_start_past_the_end_raises(self, source):
+        n = len(list(source.chunks()))
+        assert list(source.chunks(start_chunk=n)) == []
+        with pytest.raises(StreamError, match=f"chunk {n + 1}: .* only {n} chunks"):
+            list(source.chunks(start_chunk=n + 1))
 
     def test_contains_traffic_not_just_idle(self, source):
         counts = np.concatenate([c.counts for c in source.chunks()])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 import sys
 
 import pytest
@@ -67,6 +68,31 @@ class TestStreamCommand:
             "--input", str(archive_path),
         ]) == 0
         assert "messages=0" in capsys.readouterr().out
+
+    def test_resume_past_the_end_exits_2(
+        self, archive_path, model_path, tmp_path, capsys
+    ):
+        checkpoint = tmp_path / "ckpt"
+        assert main([
+            "stream", "--vehicle", "sterling", "--model", str(model_path),
+            "--input", str(archive_path), "--margin", "50",
+            "--checkpoint", str(checkpoint),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "stream", "--vehicle", "sterling", "--resume", str(checkpoint),
+            "--duration", "0.2",
+        ]) == 2
+        assert "the source has only" in capsys.readouterr().err
+
+    def test_euclidean_model_with_telemetry(self, archive_path, model_path, capsys):
+        # model_path is a Euclidean model: no inverse covariance to pin.
+        assert main([
+            "stream", "--vehicle", "sterling", "--model", str(model_path),
+            "--input", str(archive_path), "--margin", "50", "--telemetry",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"profile health: (healthy|drifting|suspect) \([1-9]", out)
 
     def test_metrics_out(self, archive_path, model_path, tmp_path, capsys):
         metrics = tmp_path / "stream.json"

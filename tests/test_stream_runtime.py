@@ -86,16 +86,16 @@ class TestInlineClassification:
         telemetry = StreamTelemetry(
             TelemetryConfig(), model=pipeline.model, margin=pipeline.config.margin
         )
-        on_verdict = telemetry.on_verdict
+        record_verdict = telemetry.health.record_verdict
         caller = threading.current_thread()
         before = set(threading.enumerate())
         seen: list[tuple[threading.Thread, set[threading.Thread]]] = []
 
-        def spy(verdict):
+        def spy(source_address, is_anomaly):
             seen.append((threading.current_thread(), set(threading.enumerate())))
-            on_verdict(verdict)
+            record_verdict(source_address, is_anomaly)
 
-        telemetry.on_verdict = spy
+        telemetry.health.record_verdict = spy
         report = pipeline.stream(
             ReplaySource(stream, 4096), StreamConfig(telemetry=telemetry)
         )
@@ -123,7 +123,7 @@ class TestInlineClassification:
         telemetry = StreamTelemetry(
             TelemetryConfig(), model=pipeline.model, margin=pipeline.config.margin
         )
-        telemetry.on_verdict = verdicts.append
+        telemetry.health.record_verdict = lambda sa, anomalous: verdicts.append(sa)
         report = pipeline.stream(
             Watched(stream, 4096), StreamConfig(telemetry=telemetry)
         )
@@ -206,6 +206,27 @@ class TestRuntimeContract:
         with pytest.raises(StreamError):
             VProfilePipeline().stream(ReplaySource(stream, 4096))
 
+    def test_skipped_chunk_raises(self, stream_pipeline, stream):
+        class Skipping(ReplaySource):
+            def chunks(self, start_chunk=0):
+                chunks = super().chunks(start_chunk)
+                yield next(chunks)
+                next(chunks)  # chunk 1 never arrives
+                yield next(chunks)
+
+        with pytest.raises(StreamError, match=r"out-of-order chunk 2 \(expected 1\)"):
+            stream_pipeline().stream(Skipping(stream, 4096))
+
+    def test_health_sees_online_updates(self, stream_pipeline, stream):
+        pipeline = stream_pipeline(online_update=True)
+        report = pipeline.stream(
+            ReplaySource(stream, 4096),
+            StreamConfig(telemetry=TelemetryConfig(timeseries_capacity=0)),
+        )
+        assert report.updated > 0
+        assessments = report.telemetry.health.assess_all().values()
+        assert sum(a.updates_seen for a in assessments) > 0
+
     def test_online_updates_fold_into_shared_stats(self, stream_pipeline, stream):
         pipeline = stream_pipeline(online_update=True)
         report = pipeline.stream(ReplaySource(stream, 4096))
@@ -253,10 +274,10 @@ class TestClassificationFailure:
             TelemetryConfig(), model=pipeline.model, margin=pipeline.config.margin
         )
 
-        def broken(verdict):
+        def broken(source_address, is_anomaly):
             raise ValueError("callback failed")
 
-        telemetry.on_verdict = broken
+        telemetry.health.record_verdict = broken
         with pytest.raises(StreamError) as info:
             pipeline.stream(ReplaySource(stream, 4096), StreamConfig(telemetry=telemetry))
         assert isinstance(info.value.__cause__, ValueError)

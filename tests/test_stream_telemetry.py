@@ -190,3 +190,32 @@ class TestPrebuiltTelemetry:
         report = pipeline.stream(ReplaySource(stream, 4096), config)
         assert report.telemetry is telemetry
         assert len(telemetry.timeseries) > 0
+
+
+class TestEuclideanModel:
+    """Euclidean clusters have no inverse covariance: health grades
+    them from the alert and update windows, with drift as no evidence."""
+
+    def test_stream_with_telemetry_serves_graded_health(
+        self, stream_vehicle, stream_train_session, stream
+    ):
+        import json
+        import urllib.request
+
+        from repro.core.model import Metric
+
+        pipeline = VProfilePipeline(PipelineConfig(
+            metric="euclidean", margin=50.0, sa_clusters=stream_vehicle.sa_clusters
+        ))
+        pipeline.train(stream_train_session.traces)
+        assert pipeline.model.metric is Metric.EUCLIDEAN
+        report = pipeline.stream(
+            ReplaySource(stream, 4096),
+            StreamConfig(telemetry=TelemetryConfig(timeseries_capacity=0)),
+        )
+        assert report.messages > 0
+        with obs.MetricsServer(health=report.telemetry.health) as server:
+            with urllib.request.urlopen(server.url + "/health", timeout=5) as response:
+                health = json.loads(response.read())
+        assert health["overall"] in ("healthy", "drifting", "suspect")
+        assert health["sources"]
