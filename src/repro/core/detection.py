@@ -33,6 +33,9 @@ from repro.core.online_update import OnlineUpdater
 from repro.errors import DetectionError
 from repro.obs.spans import stage_timer
 
+#: Floats per (n, k, d) temporary of one stacked distance block: 512 KiB.
+_BLOCK_FLOATS = 1 << 16
+
 
 class Verdict(str, Enum):
     """Detection outcome."""
@@ -142,11 +145,12 @@ class Detector:
         folded in.  Raises :class:`DetectionError` for a vector of the
         wrong dimension or with non-finite values.
         """
-        detection = self.classify_batch(vectors, sas)
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+        detection = self.classify_batch(vectors, sas)
         distances = detection.distances
         assert distances is not None
         clusters = self.model.clusters
+        last = len(vectors) - 1
         results: list[DetectionResult] = []
         folded = 0
         for row, expected in enumerate(detection.expected_cluster.tolist()):
@@ -188,9 +192,10 @@ class Detector:
                 report = updater.update([ExtractedEdgeSet(sa, vectors[row], {})])
                 if report.updated:
                     folded += 1
-                    distances[row + 1 :, expected] = self._distances_to_cluster(
-                        vectors[row + 1 :], clusters[expected]
-                    )
+                    if row < last:
+                        distances[row + 1 :, expected] = self._distances_to_cluster(
+                            vectors[row + 1 :], clusters[expected]
+                        )
         return results, folded
 
     def classify_batch(self, vectors: np.ndarray, sas: Sequence[int] | np.ndarray) -> "BatchDetection":
@@ -236,11 +241,28 @@ class Detector:
         )
 
     def _distances_to_clusters(self, vectors: np.ndarray) -> np.ndarray:
-        """Distance matrix (n, k) from each vector to each cluster."""
-        distances = np.empty((vectors.shape[0], self.model.n_clusters))
-        for index, cluster in enumerate(self.model.clusters):
-            distances[:, index] = self._distances_to_cluster(vectors, cluster)
-        return distances
+        """Distance matrix (n, k) from each vector to each cluster.
+
+        Mahalanobis distances come from one stacked product per block of
+        rows, bit for bit the per-cluster :func:`mahalanobis_distances`
+        loop; blocks of at most ``_BLOCK_FLOATS`` floats per temporary
+        keep a large batch's peak memory near the loop's.
+        """
+        model = self.model
+        if model.metric is not Metric.MAHALANOBIS:
+            distances = np.empty((vectors.shape[0], model.n_clusters))
+            for index, cluster in enumerate(model.clusters):
+                distances[:, index] = self._distances_to_cluster(vectors, cluster)
+            return distances
+        means, inv_covariances = model.means, model.inv_covariances
+        k, d = means.shape
+        step = max(1, _BLOCK_FLOATS // (k * d))
+        values = np.empty((vectors.shape[0], k))
+        for start in range(0, vectors.shape[0], step):
+            diffs = vectors[start : start + step, None, :] - means
+            whitened = np.einsum("nkd,kde->nke", diffs, inv_covariances)
+            values[start : start + step] = np.einsum("nke,nke->nk", whitened, diffs)
+        return np.sqrt(np.maximum(values, 0.0, out=values), out=values)
 
     def _distances_to_cluster(
         self, vectors: np.ndarray, cluster: ClusterProfile

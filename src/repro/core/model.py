@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO
+from typing import IO, Any
 
 import numpy as np
 
@@ -27,9 +27,49 @@ class Metric(str, Enum):
     MAHALANOBIS = "mahalanobis"
 
 
-@dataclass
+class _Stacked:
+    """A :class:`ClusterProfile` field that lives in its model's store.
+
+    A standalone profile keeps the value as given.  Once a model owns the
+    profile, reading returns the profile's row of the model's stacked
+    array (a writable view; a float for ``max_distance``) and assigning
+    copies the value into that row.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, profile: "ClusterProfile | None", owner: type | None = None) -> Any:
+        if profile is None:
+            return self
+        if profile._store is None:
+            return profile.__dict__[self.name]
+        stack = profile._store[self.name]
+        if stack is None:
+            return None
+        return float(stack[profile._row]) if stack.ndim == 1 else stack[profile._row]
+
+    def __set__(self, profile: "ClusterProfile", value: Any) -> None:
+        if profile._store is None:
+            profile.__dict__[self.name] = value
+            return
+        stack = profile._store[self.name]
+        shape = None if value is None else np.shape(value)
+        if stack is None or shape != stack.shape[1:]:
+            raise TrainingError(
+                f"cannot store a {self.name} of shape {shape} in a model "
+                f"that holds {'none' if stack is None else stack.shape[1:]}"
+            )
+        stack[profile._row] = value
+
+
 class ClusterProfile:
     """Trained statistics of one cluster / ECU.
+
+    Inside a :class:`VProfileModel`, ``mean``, ``max_distance``,
+    ``covariance`` and ``inv_covariance`` are the profile's rows of the
+    model's stacked arrays: reading one gives a view, assigning one
+    writes into the row.
 
     Attributes
     ----------
@@ -48,17 +88,50 @@ class ClusterProfile:
         Number of training edge sets (``N_n`` in eq. 5.1).
     """
 
-    name: str
-    mean: np.ndarray
-    max_distance: float
-    count: int
-    covariance: np.ndarray | None = None
-    inv_covariance: np.ndarray | None = None
+    mean = _Stacked()
+    max_distance = _Stacked()
+    covariance = _Stacked()
+    inv_covariance = _Stacked()
+
+    def __init__(
+        self,
+        name: str,
+        mean: np.ndarray,
+        max_distance: float,
+        count: int,
+        covariance: np.ndarray | None = None,
+        inv_covariance: np.ndarray | None = None,
+    ):
+        self._store: dict[str, np.ndarray | None] | None = None
+        self._row = 0
+        self.name = name
+        self.mean = mean
+        self.max_distance = max_distance
+        self.count = count
+        self.covariance = covariance
+        self.inv_covariance = inv_covariance
+
+    def __repr__(self) -> str:
+        return (
+            f"ClusterProfile(name={self.name!r}, count={self.count}, "
+            f"max_distance={self.max_distance!r})"
+        )
+
+
+#: The profile fields a model stacks, one row per cluster.
+_STACKED = ("mean", "max_distance", "covariance", "inv_covariance")
 
 
 @dataclass
 class VProfileModel:
     """A complete trained vProfile model.
+
+    The model owns its profile store: stacked ``means`` (k, d),
+    ``max_distances`` (k,) and, under Mahalanobis, covariances and
+    inverse covariances (k, d, d), copied from the clusters it is built
+    from.  ``clusters`` are the model's own profiles over those rows, so
+    two models never share state and Algorithm 4 folds into the rows in
+    place.
 
     Attributes
     ----------
@@ -73,6 +146,8 @@ class VProfileModel:
     metric: Metric
     clusters: list[ClusterProfile]
     sa_to_cluster: dict[int, int] = field(default_factory=dict)
+    #: Writable stacked arrays by profile field; Algorithm 4 folds here.
+    _store: dict[str, np.ndarray | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.clusters:
@@ -84,7 +159,7 @@ class VProfileModel:
                     f"SA 0x{sa:02X} maps to cluster {cluster}, but the model "
                     f"has {k} clusters"
                 )
-        dims = {c.mean.shape for c in self.clusters}
+        dims = {np.shape(c.mean) for c in self.clusters}
         if len(dims) != 1:
             raise TrainingError(f"inconsistent edge-set dimensions: {dims}")
         if self.metric is Metric.MAHALANOBIS:
@@ -93,11 +168,30 @@ class VProfileModel:
                 raise TrainingError(
                     f"Mahalanobis model lacks inverse covariances for {missing}"
                 )
+        self._store = {}
+        for name in _STACKED:
+            values = [getattr(c, name) for c in self.clusters]
+            if all(value is None for value in values):
+                self._store[name] = None
+            elif any(value is None for value in values):
+                raise TrainingError(f"only some clusters carry a {name}")
+            else:
+                self._store[name] = np.array(values, dtype=float)
+        self.clusters = [self._own(c, row) for row, c in enumerate(self.clusters)]
+
+    def _own(self, cluster: ClusterProfile, row: int) -> ClusterProfile:
+        """A profile over row ``row`` of this model's store."""
+        profile = ClusterProfile.__new__(ClusterProfile)
+        profile.name = cluster.name
+        profile.count = cluster.count
+        profile._store = self._store
+        profile._row = row
+        return profile
 
     @property
     def dim(self) -> int:
         """Edge-set dimensionality."""
-        return int(self.clusters[0].mean.shape[0])
+        return int(self._stacked("mean").shape[1])
 
     @property
     def n_clusters(self) -> int:
@@ -118,22 +212,33 @@ class VProfileModel:
                 return cluster
         raise DetectionError(f"no cluster named {name!r}")
 
+    def _stacked(self, name: str) -> np.ndarray:
+        """The writable stacked array of one profile field.
+
+        Algorithm 4 (:mod:`repro.core.online_update`) folds through
+        this; everything else reads the read-only properties below.
+        """
+        stack = self._store[name]
+        if stack is None:
+            raise DetectionError(f"this model stores no {name}")
+        return stack
+
     @property
     def means(self) -> np.ndarray:
-        """Stacked cluster means, shape (k, d)."""
-        return np.stack([c.mean for c in self.clusters])
+        """Stacked cluster means, shape (k, d); a read-only view of the store."""
+        return _read_only(self._stacked("mean"))
 
     @property
     def max_distances(self) -> np.ndarray:
-        """Per-cluster thresholds, shape (k,)."""
-        return np.array([c.max_distance for c in self.clusters])
+        """Per-cluster thresholds, shape (k,); a read-only view of the store."""
+        return _read_only(self._stacked("max_distance"))
 
     @property
     def inv_covariances(self) -> np.ndarray:
-        """Stacked inverse covariances, shape (k, d, d)."""
+        """Stacked inverse covariances, shape (k, d, d); a read-only view."""
         if self.metric is not Metric.MAHALANOBIS:
             raise DetectionError("Euclidean models have no covariances")
-        return np.stack([c.inv_covariance for c in self.clusters])
+        return _read_only(self._stacked("inv_covariance"))
 
     # ------------------------------------------------------------------
     # Persistence
@@ -160,7 +265,7 @@ class VProfileModel:
             ),
         }
         if self.metric is Metric.MAHALANOBIS:
-            arrays["covariances"] = np.stack([c.covariance for c in self.clusters])
+            arrays["covariances"] = self._stacked("covariance")
             arrays["inv_covariances"] = self.inv_covariances
         np.savez_compressed(path, **arrays)
 
@@ -192,3 +297,10 @@ class VProfileModel:
             for i in range(len(names))
         ]
         return cls(metric=metric, clusters=clusters, sa_to_cluster=sa_map)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that refuses writes but sees the owner's."""
+    view = array.view()
+    view.flags.writeable = False
+    return view

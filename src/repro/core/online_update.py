@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.distances import mahalanobis_distance, _sherman_morrison_cov_update
+from repro.core.distances import mahalanobis_distance
 from repro.core.edge_extraction import ExtractedEdgeSet
 from repro.core.model import Metric, VProfileModel
-from repro.errors import DetectionError, TrainingError
+from repro.errors import DetectionError, SingularCovarianceError, TrainingError
 from repro.obs.spans import stage_timer
 
 
@@ -80,6 +80,9 @@ class OnlineUpdater:
         self.model = model
         self.retrain_bound = retrain_bound
         self.observer = observer
+        # Scratch for the in-place fold: inv(A) and one outer product.
+        self._inv_a = np.empty_like(model._stacked("inv_covariance")[0])
+        self._outer = np.empty_like(self._inv_a)
 
     def needs_retrain(self, cluster_index: int) -> bool:
         """True when the cluster's count has reached the bound ``M``."""
@@ -124,29 +127,50 @@ class OnlineUpdater:
         return report
 
     def _update_cluster(self, cluster_index: int, x: np.ndarray) -> None:
-        """Apply one edge set to one cluster (the body of Algorithm 4)."""
-        cluster = self.model.clusters[cluster_index]
-        x = np.asarray(x, dtype=float)
-        if x.shape != cluster.mean.shape:
+        """Apply one edge set to one cluster (the body of Algorithm 4).
+
+        Folds into the model's own rows in place, with the float
+        operations of eq. (5.1) and :func:`_sherman_morrison_cov_update`
+        in their order, so the bits match an out-of-place fold.  Nothing
+        is written until the rank-1 update is known to be non-singular.
+        """
+        model = self.model
+        mean = model._stacked("mean")[cluster_index]
+        # A copy: ``x`` may view a row of the store this fold writes.
+        x = np.array(x, dtype=float)
+        if x.shape != mean.shape:
             raise TrainingError(
-                f"edge set has shape {x.shape}, model expects {cluster.mean.shape}"
+                f"edge set has shape {x.shape}, model expects {mean.shape}"
             )
         if not np.isfinite(x).all():
             # One NaN folded in would poison the cluster for good.
             raise TrainingError("edge set contains non-finite values")
+        cluster = model.clusters[cluster_index]
+        cov = model._stacked("covariance")[cluster_index]
+        inv = model._stacked("inv_covariance")[cluster_index]
         prev_count = cluster.count
-        prev_mean = cluster.mean
         new_count = prev_count + 1
-        new_mean = prev_mean + (x - prev_mean) / new_count
 
-        u = x - prev_mean  # uses the *previous* mean, per eq. (5.1)
-        v = x - new_mean   # and the *new* mean
-        new_cov = (np.outer(u, v) + prev_count * cluster.covariance) / new_count
-        new_inv = _sherman_morrison_cov_update(cluster.inv_covariance, u, v, new_count)
+        u = x - mean  # uses the *previous* mean, per eq. (5.1)
+        new_mean = mean + u / new_count
+        v = x - new_mean  # and the *new* mean
+        # Sherman-Morrison into scratch: inv(A) = n/(n-1) * inv(Sigma).
+        inv_a = np.multiply(inv, new_count / prev_count, out=self._inv_a)
+        inv_a_u = inv_a @ u
+        v_inv_a = v @ inv_a
+        denom = 1.0 + (v @ inv_a_u) / new_count
+        if abs(denom) < 1e-300:
+            raise SingularCovarianceError("rank-1 covariance update became singular")
 
+        mean[...] = new_mean
+        cov *= prev_count
+        cov += np.outer(u, v, out=self._outer)
+        cov /= new_count
+        correction = np.outer(inv_a_u, v_inv_a, out=self._outer)
+        correction /= new_count * denom
+        np.subtract(inv_a, correction, out=inv)
         cluster.count = new_count
-        cluster.mean = new_mean
-        cluster.covariance = new_cov
-        cluster.inv_covariance = new_inv
-        distance = mahalanobis_distance(x, new_mean, new_inv)
-        cluster.max_distance = max(cluster.max_distance, distance)
+        distance = mahalanobis_distance(x, new_mean, inv)
+        model._stacked("max_distance")[cluster_index] = max(
+            cluster.max_distance, distance
+        )

@@ -218,7 +218,11 @@ class FleetGateway:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
+                # stop() may cancel a session that is already closing.
+                # Swallowed like the loop's cancellation above: a task
+                # that ends cancelled makes asyncio's connection callback
+                # log a CancelledError traceback.
                 pass
             finally:
                 # Leave the set only once the transport is closed, so

@@ -142,18 +142,21 @@ class ReplaySource:
         return cls.from_traces(load_traces(path), chunk_samples)
 
     def chunks(self, start_chunk: int = 0) -> Iterator[SampleChunk]:
-        _check_start(start_chunk, self.n_chunks)
-        samples = self.stream.counts
-        size = self.chunk_samples
-        for seq in range(start_chunk, self.n_chunks):
+        n_chunks = self.n_chunks
+        _check_start(start_chunk, n_chunks)
+        stream = self.stream
+        samples, size = stream.counts, self.chunk_samples
+        start_s, fs = stream.start_s, stream.sample_rate
+        resolution_bits, bitrate = stream.resolution_bits, stream.bitrate
+        for seq in range(start_chunk, n_chunks):
             lo = seq * size
             yield SampleChunk(
                 counts=samples[lo : lo + size],
                 seq=seq,
-                start_s=self.stream.start_s + lo / self.sample_rate,
-                sample_rate=self.sample_rate,
-                resolution_bits=self.resolution_bits,
-                bitrate=self.bitrate,
+                start_s=start_s + lo / fs,
+                sample_rate=fs,
+                resolution_bits=resolution_bits,
+                bitrate=bitrate,
             )
 
 

@@ -94,9 +94,10 @@ class StreamingExtractor:
     def push(self, chunk: SampleChunk) -> list[StreamMessage]:
         """Consume one chunk; return the messages it completed."""
         traces = self.segmenter.push(chunk)
-        self.stats.chunks += 1
-        self.stats.samples += len(chunk)
-        return self._extract(traces)
+        stats = self.stats
+        stats.chunks += 1
+        stats.samples += chunk.counts.size
+        return self._extract(traces) if traces else []
 
     def finish(self) -> list[StreamMessage]:
         """Flush the end-of-stream remainder."""

@@ -182,11 +182,12 @@ class StreamRuntime:
         )
 
         results: list[StreamVerdict] = []
+        metrics_on = registry.enabled
         t0 = monotonic()
         for chunk in source.chunks(start_chunk):
             report.chunks += 1
             report.samples += len(chunk)
-            if registry.enabled:
+            if metrics_on:
                 registry.counter(
                     CHUNKS_METRIC, help="Chunks ingested by the stream runtime"
                 ).inc()

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.detection import AnomalyReason, Detector, Verdict
@@ -240,12 +240,22 @@ class TestClassifyAndUpdate:
     d=st.integers(2, 80),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=3, k=2, d=2, seed=0)
+@example(n=7, k=3, d=2, seed=1)
+@example(n=8, k=4, d=2, seed=2)
+@example(n=9, k=5, d=2, seed=3)
+@example(n=16, k=6, d=2, seed=4)
+@example(n=17, k=7, d=2, seed=5)
+@example(n=33, k=8, d=2, seed=6)
+@example(n=64, k=1, d=2, seed=7)
 def test_distance_matrix_is_bitwise_the_per_cluster_loop(n, k, d, seed):
     """The distance matrix equals, bit for bit, a loop of
     ``mahalanobis_distances`` over the clusters, so batch, stream and
-    fleet verdicts match the single-message path exactly.  One stacked
-    ``einsum`` over all clusters would not: at d = 2 NumPy sums the
-    quadratic form in another order and the last bit differs."""
+    fleet verdicts match the single-message path exactly.  The stacked
+    two-step ``einsum`` over all clusters does.  A single 3-operand
+    ``einsum`` would not: at d = 2 NumPy sums that quadratic form in
+    another order and the last bit differs; the examples are d = 2
+    shapes where it did."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
     clusters = []

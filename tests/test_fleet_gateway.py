@@ -633,6 +633,42 @@ class TestGracefulDrain:
         assert len(tasks) == len(clients)
         assert [task for task in tasks if not task.done()] == []
 
+    def test_stop_during_wait_closed_ends_the_session_quietly(
+        self, tmp_path, monkeypatch
+    ):
+        """A session cancelled by stop() while its transport is closing
+        ends without an error: nothing reaches the loop's exception
+        handler (asyncio's connection callback reads the task's result)."""
+        closing = asyncio.Event()
+
+        async def hang(writer):
+            closing.set()
+            await asyncio.Event().wait()
+
+        async def close_at_once(self, reader, writer):
+            return None
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            handled = []
+            loop.set_exception_handler(lambda loop, context: handled.append(context))
+            gateway = FleetGateway(
+                GatewayConfig(port=0, state_dir=tmp_path / "state"), MetricsRegistry()
+            )
+            await gateway.start()
+            monkeypatch.setattr(FleetGateway, "_connection_loop", close_at_once)
+            monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", hang)
+            _, client = await asyncio.open_connection(gateway.host, gateway.port)
+            await asyncio.wait_for(closing.wait(), timeout=10.0)
+            await asyncio.wait_for(gateway.stop(), timeout=10.0)
+            for _ in range(5):  # let the done-callbacks run
+                await asyncio.sleep(0)
+            client.close()
+            assert gateway._sessions == set()
+            return handled
+
+        assert asyncio.run(scenario()) == []
+
     @pytest.mark.slow
     def test_sigterm_drains_the_serve_process(
         self, tmp_path, model_b64, fleet_chunks, reference_verdicts

@@ -381,6 +381,49 @@ def test_rejected_first_chunk_adopts_no_parameters():
     assert segmenter.state_dict()["sample_rate"] == 2_000_000.0
 
 
+@pytest.mark.parametrize(
+    "changed",
+    [{"sample_rate": 1e6}, {"resolution_bits": 12}, {"bitrate": 500_000.0}],
+    ids=lambda changed: next(iter(changed)),
+)
+def test_a_mid_stream_parameter_change_is_refused_with_state_intact(changed):
+    segmenter = StreamingSegmenter()
+    segmenter.push(_chunk(np.zeros(64, dtype=np.int32), 0))
+    before = segmenter.state_dict()
+    params = (2_000_000.0, 16, 250_000.0)
+    moved = (
+        changed.get("sample_rate", params[0]),
+        changed.get("resolution_bits", params[1]),
+        changed.get("bitrate", params[2]),
+    )
+    message = f"chunk parameters changed mid-stream: {moved} != {params}"
+    with pytest.raises(StreamError) as raised:
+        segmenter.push(_chunk(np.zeros(64, dtype=np.int32), 1, **changed))
+    assert str(raised.value) == message
+    _assert_states_equal(segmenter.state_dict(), before)
+    assert segmenter.push(_chunk(np.zeros(64, dtype=np.int32), 1)) == []
+    assert segmenter.state_dict()["next_seq"] == 2
+
+
+@pytest.mark.parametrize(
+    "dtype, threshold, peak",
+    [(dtype, 100.0, 100) for dtype in sorted(ALLOWED_DTYPES)]
+    + [(dtype, 100.0, 99) for dtype in sorted(ALLOWED_DTYPES)]
+    # float32(100.1) rounds down: in float32 the peak reaches the
+    # threshold, in float64 it does not.
+    + [("float32", 100.1, np.float32(100.1)), ("float64", 100.1, 100.1)],
+)
+def test_the_idle_shortcut_reads_the_threshold_as_the_full_path(dtype, threshold, peak):
+    """A chunk skips the full path only when no sample is dominant under
+    the full path's own comparison, whatever the sample dtype."""
+    segmenter = StreamingSegmenter(SegmentationConfig(threshold=threshold))
+    counts = np.zeros(64, dtype=dtype)
+    counts[40] = peak
+    segmenter.push(_chunk(counts, 0))
+    dominant = bool((counts >= threshold).any())
+    assert (segmenter.state_dict()["burst_start"] == 40) is dominant
+
+
 def test_idle_chunks_of_mixed_dtypes_promote_like_the_full_path():
     """The buffer dtype after a run of idle chunks is what concatenating
     every chunk would give, whatever the chunk sizes."""
